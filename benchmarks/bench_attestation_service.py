@@ -12,11 +12,14 @@ crossover, and a third asserts the service's serial-vs-sharded byte
 parity (results, audit ledger, PERF counters) on a representative
 workload.
 
-The tier sweep runs with no telemetry subscriber: a subscriber
-deliberately bypasses the session cache (timed spans cannot be
-replayed), which is its own benchmark — ``bench_obs_overhead`` — not
-this one.  PERF counting stays on, so the bench-history gate tracks
-the service counters run over run.
+The tier sweep runs with no telemetry subscriber, so its wall time
+holds no span recording; a subscriber would take the same cached path
+(hits emit a ``tee.service.cache.hit`` span), and what tracing costs is
+``bench_obs_overhead``'s subject, not this one's.  Only 32 distinct
+report contents feed each tier, so the sweep measures a
+cache-dominated mix; ``perfbench/run.py`` separates the fresh, cached
+and hostile paths.  PERF counting stays on, so the bench-history gate
+tracks the service counters run over run.
 """
 
 import time

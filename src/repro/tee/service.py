@@ -24,21 +24,29 @@ Determinism is the design axis, same as the rest of the runtime:
   frozen cache the serial loop reads, so the hit/miss pattern — and
   with it every result byte, audit event and PERF counter — is
   identical for any ``REPRO_JOBS``.
-* **Session cache** — content-addressed like the PR 5 boot memo: the
-  key covers the device identity, the enclave measurement, the SM
-  image hash (both via the full report bytes) and the verification
-  policy, and the value holds the verdict plus the deterministic
-  session token.  Entries built by a single-request flush also record
-  the PERF delta of the verification and replay it on every hit
-  (bootrom semantics: counter totals independent of cache warmth).
-  Entries built by a multi-lane batch deliberately store no delta —
-  the combined-chain Ed25519 counters are a property of the *batch*,
-  not attributable to one lane — so their hits leave only the
-  ``tee.service.*`` bookkeeping counters.  The cache is bypassed
-  entirely while FAULTS are armed (injections must reach the real
-  verification) or a telemetry subscriber is active (timed spans
-  cannot be replayed); bypassed verdicts are byte-identical because
-  the token is content-derived, not cache-derived.
+* **Session cache** — keyed on the exact tuple of every verification
+  input: device id, the device's Ed25519 and ML-DSA public keys, the
+  enclave and SM measurement pins, and the full report bytes (which
+  carry the enclave measurement and the SM image hash).  Dict equality
+  on that tuple decides a hit, so there is no digest to collide and a
+  hit does no hashing beyond the ``bytes`` hash CPython caches per
+  object.  The value holds the verdict plus the session token, minted
+  once — on the miss that verified the request — as SHA3-256 over a
+  SHA3-512 digest of the length-prefixed key fields; the token is a
+  pure function of the key, so cached, fresh and bypassed
+  verifications of the same request mint the same bytes.  The price of
+  exact keys is memory: the cache pins up to ``cache_size`` reports,
+  about 30 MB at the default 4096 PQ reports of 7,472 bytes.  Entries
+  built by a single-request flush also record the PERF delta of the
+  verification and replay it on every hit (bootrom semantics: counter
+  totals independent of cache warmth).  Entries built by a multi-lane
+  batch deliberately store no delta — the combined-chain Ed25519
+  counters are a property of the *batch*, not attributable to one
+  lane — so their hits leave only the ``tee.service.*`` bookkeeping
+  counters.  The cache is bypassed only while FAULTS are armed
+  (injections must reach the real verification).  Telemetry takes the
+  production path: hits emit a ``tee.service.cache.hit`` span, and
+  each drain publishes cache and queue gauges.
 """
 
 from __future__ import annotations
@@ -193,27 +201,26 @@ class AttestationService:
         return self._devices.get(device_id)
 
     def _session_key(self, request: ServiceRequest,
-                     identity: dict) -> bytes:
-        """Content address of one verification: device identity keys,
-        policy, and the full report bytes (which carry the enclave
-        measurement and the SM image hash)."""
-        parts = [
-            request.device_id.encode(),
-            identity["ed25519"],
-            identity["mldsa"] or b"",
-            request.expected_enclave_hash or b"",
-            self._expected_sm.get(request.device_id) or b"",
-            request.report,
-        ]
-        blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-        return sha3_512(_SESSION_KEY_DOMAIN + blob)
+                     identity: dict) -> tuple:
+        """Exact cache key of one verification: device identity keys,
+        policy pins, and the full report bytes (which carry the
+        enclave measurement and the SM image hash).  It holds every
+        input of :meth:`_structurally_plausible`, so a lookup may run
+        before that prefilter."""
+        return (request.device_id, identity["ed25519"], identity["mldsa"],
+                request.expected_enclave_hash,
+                self._expected_sm.get(request.device_id), request.report)
 
     @staticmethod
-    def _session_token(key: bytes) -> bytes:
-        """The verified-session token: deterministic in the content
-        address, so cached, fresh and bypassed verifications of the
-        same request mint the same token."""
-        return sha3_256(_SESSION_TOKEN_DOMAIN + key)
+    def _session_token(key: tuple) -> str:
+        """The verified-session token (hex), deterministic in the key:
+        SHA3-256 over a SHA3-512 digest of the length-prefixed key
+        fields, absent pins and keys taking the empty string."""
+        device_id, *fields = key
+        parts = [device_id.encode()] + [field or b"" for field in fields]
+        blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
+        digest = sha3_512(_SESSION_KEY_DOMAIN + blob)
+        return sha3_256(_SESSION_TOKEN_DOMAIN + digest).hex()
 
     def cache_stats(self) -> dict:
         """Hit/miss/eviction statistics of the session cache (service-
@@ -234,29 +241,41 @@ class AttestationService:
         the hit/miss pattern (and therefore results, audit events and
         counters) byte-identical for any worker count: a forked worker
         could never observe a sibling batch's insertions anyway, so
-        the serial loop must not either.
+        the serial loop must not either.  With telemetry on, each
+        drain also publishes the cache statistics and the queue depth
+        it found (pending plus sealed requests) as gauges.
         """
+        depth = len(self._pending) + sum(map(len, self._sealed))
         self._seal("drain")
         batches, self._sealed = self._sealed, []
-        if not batches:
-            return []
-        outs = run_sharded(_drain_worker, self, batches, jobs=jobs)
         results = []
-        merged = {}
-        for batch_results, entries in outs:
-            results.extend(batch_results)
-            for key, entry in entries:
-                if key not in merged:
-                    merged[key] = entry
-        if self.session_cache_enabled:
-            with self._cache_lock:
-                for key, entry in merged.items():
-                    # __contains__ skips the hit/miss accounting: the
-                    # merge is bookkeeping, not a cache access.
-                    if key not in self._cache:
-                        self._cache.store(key, entry)
-        results.sort(key=lambda r: r["seq"])
+        if batches:
+            merged = {}
+            for batch_results, entries in run_sharded(
+                    _drain_worker, self, batches, jobs=jobs):
+                results.extend(batch_results)
+                for key, entry in entries:
+                    merged.setdefault(key, entry)
+            if self.session_cache_enabled:
+                with self._cache_lock:
+                    for key, entry in merged.items():
+                        # __contains__ skips the hit/miss accounting:
+                        # the merge is bookkeeping, not a cache access.
+                        if key not in self._cache:
+                            self._cache.store(key, entry)
+            results.sort(key=lambda r: r["seq"])
+        if TELEMETRY.enabled:
+            self._publish_gauges(depth)
         return results
+
+    def _publish_gauges(self, depth: int) -> None:
+        """Cache statistics and the queue depth this drain found, as
+        telemetry gauges (never PERF counters: a cold and a warm run
+        must write the same counter file)."""
+        stats = self.cache_stats()
+        for name in ("size", "hits", "misses", "evictions"):
+            TELEMETRY.gauge(f"tee.service.cache.{name}").set(stats[name])
+        TELEMETRY.gauge("tee.service.queue_depth").set(depth)
 
     def process(self, requests, jobs: int = None) -> list:
         """Submit ``(device_id, report_bytes)`` pairs (or 3-tuples with
@@ -276,44 +295,46 @@ class AttestationService:
         here are captured and merged in shard order by the runtime, so
         the serial and parallel streams are identical.
         """
-        bypass = (not self.session_cache_enabled or FAULTS.enabled
-                  or TELEMETRY.enabled)
+        bypass = not self.session_cache_enabled or FAULTS.enabled
         with TELEMETRY.span("tee.service.batch", batch=len(batch)):
             lanes = []          # (request, identity, key) to verify
-            hits = []           # (request, key, entry)
+            hits = []           # (request, entry)
             results = {}        # seq -> result dict
             reasons = {}        # seq -> rejection reason (or None)
             for request in batch:
                 identity = self._identity_for(request.device_id)
                 if identity is None:
-                    results[request.seq] = self._result(request, False,
-                                                        b"")
+                    results[request.seq] = self._result(request, False, "")
                     reasons[request.seq] = "unknown-device"
-                    continue
-                if not self._structurally_plausible(request):
-                    results[request.seq] = self._result(request, False,
-                                                        b"")
-                    reasons[request.seq] = "policy-mismatch"
                     continue
                 key = self._session_key(request, identity)
                 if not bypass:
+                    # Only lanes that passed the prefilter and decoded
+                    # are ever stored, and the key holds every input of
+                    # the prefilter, so a hit needs no prefilter.
                     with self._cache_lock:
                         found, entry = self._cache.lookup(key)
                     if found:
-                        hits.append((request, key, entry))
+                        hits.append((request, entry))
                         continue
+                if not self._structurally_plausible(request):
+                    results[request.seq] = self._result(request, False, "")
+                    reasons[request.seq] = "policy-mismatch"
+                    continue
                 lanes.append((request, identity, key))
             # Hit/miss tallies live in the Memo's own stats
             # (:meth:`cache_stats`), deliberately NOT in PERF: a cold
             # and a warm run of the same workload must produce the same
             # counter file (the boot-memo contract), which no
             # hit-or-miss counter can satisfy.
-            for request, key, entry in hits:
-                ok, token, reason, delta = entry
-                if delta is not None and PERF.enabled:
-                    PERF.merge(delta)
-                results[request.seq] = self._result(request, ok, token)
-                reasons[request.seq] = reason
+            if hits:
+                with TELEMETRY.span("tee.service.cache.hit", hits=len(hits)):
+                    for request, (ok, token, reason, delta) in hits:
+                        if delta is not None and PERF.enabled:
+                            PERF.merge(delta)
+                        results[request.seq] = self._result(request, ok,
+                                                            token)
+                        reasons[request.seq] = reason
             new_entries = []
             if lanes:
                 new_entries = self._verify_lanes(lanes, results,
@@ -354,7 +375,7 @@ class AttestationService:
                 report = AttestationReport.decode(request.report,
                                                   self.params)
             except ValueError:
-                results[request.seq] = self._result(request, False, b"")
+                results[request.seq] = self._result(request, False, "")
                 reasons[request.seq] = "malformed-report"
                 continue
             reports.append(report)
@@ -370,7 +391,7 @@ class AttestationService:
         delta = PERF.delta_since(before) if measure else None
         new_entries = []
         for (request, key), ok in zip(parsed, verdicts):
-            token = self._session_token(key) if ok else b""
+            token = self._session_token(key) if ok else ""
             reason = None if ok else "verification-failed"
             results[request.seq] = self._result(request, ok, token)
             reasons[request.seq] = reason
@@ -397,8 +418,8 @@ class AttestationService:
         return True
 
     @staticmethod
-    def _result(request: ServiceRequest, ok: bool, token: bytes) -> dict:
+    def _result(request: ServiceRequest, ok: bool, token: str) -> dict:
         return {"seq": int(request.seq),
                 "device": request.device_id,
                 "ok": bool(ok),
-                "session": token.hex()}
+                "session": token}

@@ -3,12 +3,17 @@ enclave-session cache, and serial-vs-parallel byte parity.
 
 The session-cache tests mirror ``TestBootMemo`` in
 ``test_crypto_fastpaths.py``: hits must replay identical bytes and
-identical PERF deltas, armed fault injection and live telemetry
-subscribers must bypass the cache entirely, and a changed verification
-policy (measurement pin) must miss.  The parity tests pin the
-acceptance contract of the service: results, audit ledger and PERF
-counters byte-identical between a serial drain and a sharded one.
+identical PERF deltas, armed fault injection must bypass the cache
+entirely, a live telemetry subscriber must see the same cached path
+production takes, and a change to any field of the exact-tuple key
+(device, keys, pins, report bytes) must miss.  Session tokens are
+checked against an independent ``hashlib`` rebuild of the v1 token.
+The parity tests pin the acceptance contract of the service: results,
+audit ledger and PERF counters byte-identical between a serial drain
+and a sharded one, and between a first and a repeated hostile pass.
 """
+
+import hashlib
 
 import pytest
 
@@ -21,6 +26,10 @@ from repro.obs.exposition import parse_exposition, render
 from repro.obs.perf import PERF, counting
 from repro.tee import AttestationService, build_tee, verify_report
 from repro.tee.attestation import AttestationReport
+
+#: Offset of the device's Ed25519 signature in an encoded report:
+#: enclave hash, data length, data, enclave signature, SM hash, SM key.
+_DEVICE_SIG_OFFSET = 64 + 8 + 1024 + 64 + 64 + 32
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +56,25 @@ def fleet():
 
 def _service(fleet, **kwargs):
     return AttestationService(dict(fleet["devices"]), **kwargs)
+
+
+def _oracle_token(device_id, identity, report, enclave_pin=None,
+                  sm_pin=None):
+    """The v1 session token rebuilt from its definition with
+    ``hashlib``: SHA3-256 over the token domain and a SHA3-512 digest
+    of the session domain plus the length-prefixed fields."""
+    parts = [device_id.encode(), identity["ed25519"],
+             identity.get("mldsa") or b"", enclave_pin or b"",
+             sm_pin or b"", report]
+    blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
+    digest = hashlib.sha3_512(b"tee-service-session-v1" + blob).digest()
+    return hashlib.sha3_256(b"tee-service-token-v1" + digest).hexdigest()
+
+
+def _flip(report, offset):
+    tampered = bytearray(report)
+    tampered[offset] ^= 0x01
+    return bytes(tampered)
 
 
 def _verdict_bytes(results):
@@ -134,27 +162,40 @@ class TestSessionCache:
         assert cold_delta["crypto.mldsa.verify"] > 0
         assert warm_delta == cold_delta
 
-    def test_active_telemetry_bypasses_cache(self, fleet):
-        svc = _service(fleet)
-        request = [("cl0", fleet["cl_reports"][0])]
-        clean = svc.process(request, jobs=1)    # warm the cache
-        hits_before = svc.cache_stats()["hits"]
-        was_enabled = TELEMETRY.enabled
-        TELEMETRY.enable()
-        TELEMETRY.reset()
-        try:
-            traced = svc.process(request, jobs=1)
-            names = {record["name"]
-                     for record in TELEMETRY.tracer.snapshot()}
-        finally:
+    def test_active_telemetry_takes_production_path(self, fleet):
+        """A telemetry subscriber no longer bypasses the cache: results,
+        tokens, the audit stream, PERF counters and cache statistics
+        match an untraced run, and the trace shows the hit span."""
+        request = [("cl0", fleet["cl_reports"][0]),
+                   ("ghost", fleet["cl_reports"][0])]
+
+        def run(traced):
+            svc = _service(fleet)
+            was_enabled, was_audit = TELEMETRY.enabled, AUDIT.enabled
+            TELEMETRY.enabled = traced
             TELEMETRY.reset()
-            TELEMETRY.enabled = was_enabled
-        # Subscribed runs verify for real — timed spans cannot be
-        # replayed from the cache — yet mint identical bytes.
-        assert "tee.service.batch" in names
-        assert "crypto.ed25519.verify_batch" in names
-        assert _verdict_bytes(traced) == _verdict_bytes(clean)
-        assert svc.cache_stats()["hits"] == hits_before
+            AUDIT.reset()
+            AUDIT.enable()
+            try:
+                with counting() as window:
+                    results = [svc.process(request, jobs=1)
+                               for _ in range(2)]   # cold, then warm
+                names = {record["name"]
+                         for record in TELEMETRY.tracer.snapshot()}
+                audit = canonical_encode(AUDIT.export_records())
+            finally:
+                TELEMETRY.reset()
+                TELEMETRY.enabled = was_enabled
+                AUDIT.reset()
+                AUDIT.enabled = was_audit
+            return (canonical_encode(results), audit, window.delta(),
+                    svc.cache_stats(), names)
+
+        plain, traced = run(False), run(True)
+        assert traced[:4] == plain[:4]
+        assert plain[3]["hits"] == 1 and plain[3]["misses"] == 1
+        assert plain[4] == set()
+        assert {"tee.service.batch", "tee.service.cache.hit"} <= traced[4]
 
     def test_armed_faults_bypass_cache(self, fleet):
         svc = _service(fleet)
@@ -183,9 +224,11 @@ class TestSessionCache:
         # Same report under a different pin: the content address
         # changes, so the cached session must NOT be served.
         wrong_hash = bytes(64)
-        pinned = svc.process([("cl0", report, wrong_hash)], jobs=1)
-        assert pinned[0]["ok"] is False
-        assert pinned[0]["session"] == ""
+        for _ in range(2):
+            pinned = svc.process([("cl0", report, wrong_hash)], jobs=1)
+            assert pinned[0]["ok"] is False
+            assert pinned[0]["session"] == ""
+        assert svc.cache_stats()["hits"] == 0
         # ...and matches the uncached scalar verifier's refusal.
         assert verify_report(AttestationReport.decode(report),
                              fleet["devices"]["cl0"],
@@ -207,6 +250,189 @@ class TestSessionCache:
         uncached = _service(fleet, session_cache=False).process(
             list(submissions), jobs=1)
         assert canonical_encode(uncached) == canonical_encode(cached)
+
+
+class TestExactKey:
+    """The cache key is the exact tuple (device id, Ed25519 key, ML-DSA
+    key, enclave pin, SM pin, report bytes); the token is minted once,
+    on a miss, and equals the v1 SHA3 definition on every path."""
+
+    @staticmethod
+    def _access(svc, *submission):
+        """Process one submission; returns (result, hit?, missed?)."""
+        before = svc.cache_stats()
+        result = svc.process([submission], jobs=1)[0]
+        after = svc.cache_stats()
+        return (result, after["hits"] - before["hits"] == 1,
+                after["misses"] - before["misses"] == 1)
+
+    def test_hit_only_when_all_six_fields_equal(self, fleet):
+        report = fleet["cl_reports"][0]
+        decoded = AttestationReport.decode(report)
+        identity = fleet["devices"]["cl0"]
+        svc = AttestationService()
+        svc.register_device("cl0", identity,
+                            expected_sm_hash=decoded.sm_hash)
+        first, hit, missed = self._access(svc, "cl0", report,
+                                          decoded.enclave_hash)
+        assert first["ok"] and missed and not hit
+        # Equal but distinct bytes objects: equality, not identity.
+        again, hit, _ = self._access(svc, "cl0", bytes(bytearray(report)),
+                                     bytes(decoded.enclave_hash))
+        assert hit and again["session"] == first["session"]
+        # Same identity under another device id.
+        svc.register_device("cl1", identity,
+                            expected_sm_hash=decoded.sm_hash)
+        other, hit, missed = self._access(svc, "cl1", report,
+                                          decoded.enclave_hash)
+        assert other["ok"] and missed and not hit
+        assert other["session"] != first["session"]
+        # No enclave pin.
+        unpinned, hit, missed = self._access(svc, "cl0", report)
+        assert unpinned["ok"] and missed and not hit
+        assert unpinned["session"] != first["session"]
+        # A changed enclave pin: misses, then the prefilter rejects.
+        wrong, hit, missed = self._access(svc, "cl0", report, bytes(64))
+        assert not wrong["ok"] and missed and not hit
+        # One flipped report byte.
+        flipped, hit, missed = self._access(
+            svc, "cl0", _flip(report, 200), decoded.enclave_hash)
+        assert not flipped["ok"] and missed and not hit
+        # A changed SM pin.
+        svc.register_device("cl0", identity, expected_sm_hash=bytes(64))
+        sm_moved, hit, missed = self._access(svc, "cl0", report,
+                                             decoded.enclave_hash)
+        assert not sm_moved["ok"] and missed and not hit
+        # Re-registered with new keys (the PQ device's identity).
+        svc.register_device("cl0", fleet["devices"]["pq0"],
+                            expected_sm_hash=decoded.sm_hash)
+        rekeyed, hit, missed = self._access(svc, "cl0", report,
+                                            decoded.enclave_hash)
+        assert not rekeyed["ok"] and missed and not hit
+        # Restoring every field hits the original entry again.
+        svc.register_device("cl0", identity,
+                            expected_sm_hash=decoded.sm_hash)
+        restored, hit, _ = self._access(svc, "cl0", report,
+                                        decoded.enclave_hash)
+        assert hit and restored["session"] == first["session"]
+
+    @pytest.mark.parametrize("device", ["pq0", "cl0"])
+    def test_tokens_match_v1_oracle_on_every_path(self, fleet, device):
+        report = fleet[f"{device[:2]}_reports"][1]
+        decoded = AttestationReport.decode(report)
+        identity = fleet["devices"][device]
+        expected = {
+            None: _oracle_token(device, identity, report),
+            decoded.enclave_hash: _oracle_token(
+                device, identity, report, decoded.enclave_hash),
+        }
+        for pin, token in expected.items():
+            submission = [(device, report, pin)]
+            svc = _service(fleet)
+            fresh = svc.process(submission, jobs=1)[0]
+            hit = svc.process(submission, jobs=1)[0]
+            assert svc.cache_stats()["hits"] == 1
+            FAULTS.arm(FaultSpec("tee.bootrom.measure", BIT_FLIP, bit=0))
+            try:
+                bypassed = svc.process(submission, jobs=1)[0]
+            finally:
+                FAULTS.disarm()
+            uncached = _service(fleet, session_cache=False).process(
+                submission, jobs=1)[0]
+            for result in (fresh, hit, bypassed, uncached):
+                assert result["ok"] is True
+                assert result["session"] == token
+        # The SM pin is the fifth field of the token blob.
+        svc = AttestationService()
+        svc.register_device(device, identity,
+                            expected_sm_hash=decoded.sm_hash)
+        pinned = svc.process([(device, report)], jobs=1)[0]
+        assert pinned["session"] == _oracle_token(
+            device, identity, report, sm_pin=decoded.sm_hash)
+
+    def test_rejected_lanes_are_never_stored(self, fleet):
+        report = fleet["cl_reports"][2]
+        svc = _service(fleet)
+        results = svc.process([("ghost", report),            # registry
+                               ("cl0", report, bytes(64)),   # prefilter
+                               ("cl0", report[:-5])],        # decode
+                              jobs=1)
+        assert [r["ok"] for r in results] == [False] * 3
+        assert [r["session"] for r in results] == [""] * 3
+        assert svc.cache_stats()["size"] == 0
+        # A failed verification is a stored negative verdict, also
+        # with an empty token, and its hit replays it.
+        tampered = _flip(report, len(report) - 1)
+        svc.process([("cl0", tampered)], jobs=1)
+        assert svc.cache_stats()["size"] == 1
+        replay = svc.process([("cl0", tampered)], jobs=1)[0]
+        assert svc.cache_stats()["hits"] == 1
+        assert replay["ok"] is False and replay["session"] == ""
+
+
+class TestHostileResubmission:
+    """Every hostile class, submitted twice in separate drains, gives
+    the same verdict, reason and audit events on the second pass."""
+
+    @staticmethod
+    def _hostile(fleet):
+        pq, cl = fleet["pq_reports"][0], fleet["cl_reports"][1]
+        pin = AttestationReport.decode(pq).enclave_hash
+        mldsa_sig = len(pq) - 2 * 2420 + 7
+        return [
+            ("cl0", _flip(cl, _DEVICE_SIG_OFFSET + 40)),   # Ed25519
+            ("pq0", _flip(pq, _DEVICE_SIG_OFFSET + 40)),
+            ("pq0", _flip(pq, mldsa_sig)),                 # ML-DSA
+            ("rogue", cl),                                 # unregistered
+            ("cl0", cl[:-9]),                              # length
+            ("pq0", pq[:-1]),
+            ("pq0", pq, bytes(64)),                        # pin mismatch
+            ("pq0", pq, pin),                              # honest
+        ]
+
+    @staticmethod
+    def _pass(svc, submissions):
+        """One drain; its verdicts and audit events, with sequence
+        numbers made relative to the pass's first request."""
+        AUDIT.reset()
+        results = svc.process(submissions, jobs=1)
+        first = results[0]["seq"]
+        events = []
+        for record in AUDIT.export_records():
+            if "kind" not in record:
+                continue
+            detail = dict(record["detail"])
+            if "seq" in detail:
+                detail["seq"] -= first
+            events.append((record["kind"], record["severity"], detail))
+        verdicts = [(r["device"], r["ok"], r["session"]) for r in results]
+        return verdicts, events
+
+    def test_second_pass_matches_first(self, fleet):
+        svc = _service(fleet, max_batch=4)
+        was_audit = AUDIT.enabled
+        AUDIT.enable()
+        try:
+            first = self._pass(svc, self._hostile(fleet))
+            size = svc.cache_stats()["size"]
+            second = self._pass(svc, self._hostile(fleet))
+        finally:
+            AUDIT.reset()
+            AUDIT.enabled = was_audit
+        # The second pass also resubmits the honest report, cached by
+        # the first pass, under a wrong pin: the prefilter still
+        # rejects it with the same reason.
+        assert second == first
+        ok = [verdict[1] for verdict in first[0]]
+        assert ok == [False] * 7 + [True]
+        # Stored: the three failed verifications and the honest lane.
+        assert size == 4
+        assert svc.cache_stats()["hits"] == 4
+        reasons = [detail["reason"] for kind, _, detail in first[1]
+                   if kind == "request-rejected"]
+        assert reasons == ["verification-failed"] * 3 + [
+            "unknown-device", "malformed-report", "malformed-report",
+            "policy-mismatch"]
 
 
 class TestServiceParity:
@@ -271,19 +497,40 @@ class TestServiceParity:
 
 
 def test_service_counters_render_and_parse_roundtrip(fleet):
-    """``tee.service.*`` counters survive the exposition round trip."""
+    """``tee.service.*`` counters and the cache/queue gauges survive the
+    exposition round trip; the gauges stay out of PERF."""
     svc = _service(fleet, max_batch=2)
-    with counting() as window:
-        svc.process([("pq0", fleet["pq_reports"][0]),
-                     ("cl0", fleet["cl_reports"][0]),
-                     ("ghost", fleet["cl_reports"][0])], jobs=1)
+    was_enabled = TELEMETRY.enabled
+    TELEMETRY.enable()
+    TELEMETRY.reset()
+    try:
+        with counting() as window:
+            svc.process([("pq0", fleet["pq_reports"][0]),
+                         ("cl0", fleet["cl_reports"][0]),
+                         ("ghost", fleet["cl_reports"][0])], jobs=1)
+            svc.process([("cl0", fleet["cl_reports"][0])], jobs=1)
+        metrics = TELEMETRY.metrics_snapshot()
+    finally:
+        TELEMETRY.reset()
+        TELEMETRY.enabled = was_enabled
     delta = window.delta()
-    families = parse_exposition(render(perf=dict(delta)))
+    families = parse_exposition(render(metrics=metrics, perf=dict(delta)))
     events = {labels["event"]: value for labels, value in
               families["repro_perf_events_total"]}
-    assert events["tee.service.requests"] == 3.0
-    assert events["tee.service.batches"] == 2.0
+    assert events["tee.service.requests"] == 4.0
+    assert events["tee.service.batches"] == 3.0
     assert events["tee.service.flush_size"] == 1.0
-    assert events["tee.service.flush_drain"] == 1.0
-    assert events["tee.service.verified"] == 2.0
+    assert events["tee.service.flush_drain"] == 2.0
+    assert events["tee.service.verified"] == 3.0
     assert events["tee.service.rejected"] == 1.0
+    gauges = {name: families[f"repro_tee_service_{name}"][0][1]
+              for name in ("cache_size", "cache_hits", "cache_misses",
+                           "cache_evictions", "queue_depth")}
+    # After the second drain: two stored sessions, one hit on the
+    # second drain, two misses on the first; it found one request.
+    assert gauges == {"cache_size": 2.0, "cache_hits": 1.0,
+                      "cache_misses": 2.0, "cache_evictions": 0.0,
+                      "queue_depth": 1.0}
+    assert not [event for event in delta
+                if event.startswith(("tee.service.cache",
+                                     "tee.service.queue"))]
