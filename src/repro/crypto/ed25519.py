@@ -37,7 +37,6 @@ cache warmth (the ISSUE 4 parallel-parity contract).
 from __future__ import annotations
 
 import hashlib
-import threading
 
 from ..obs import TELEMETRY
 from ..obs.perf import PERF
@@ -708,28 +707,33 @@ def _verify_batch(items) -> list:
     return results
 
 
-#: Per-public-key verification state: the wNAF odd-multiple table of
-#: ``-A``.  Attestation verifies the same handful of device / SM keys
-#: thousands of times, so the decompression square root and the table
-#: build are paid once per key.  ``None`` caches an invalid encoding.
+#: Per-public-key verification state: the wNAF odd-multiple tables of
+#: ``-A`` and the bare point.  Attestation verifies the same handful of
+#: device / SM keys thousands of times, so the decompression square root
+#: and the table builds are paid once per key.  ``None`` caches an
+#: invalid encoding.  Builds are uncounted precomputation, so entries
+#: record an empty PERF delta.  Keys are normalized to ``bytes``.
 _VERIFY_MEMO = Memo(maxsize=256)
-_VERIFY_LOCK = threading.Lock()
+
+
+def _negated_point(public: bytes):
+    """Decompressed ``-A``, or ``None`` for an invalid encoding."""
+    try:
+        return _point_negate(_decompress(public))
+    except ValueError:
+        return None
+
+
+def _table_or_none(neg_a, width: int):
+    return None if neg_a is None else _point_table(neg_a, width)
 
 
 def _verify_table(public: bytes):
     """Memoized cached-form odd multiples of ``-A`` for a compressed
     public key; ``None`` when the encoding is invalid."""
-    with _VERIFY_LOCK:
-        found, table = _VERIFY_MEMO.lookup(public)
-    if found:
-        return table
-    try:
-        table = _point_table(_point_negate(_decompress(public)))
-    except ValueError:
-        table = None
-    with _VERIFY_LOCK:
-        _VERIFY_MEMO.store(bytes(public), table)
-    return table
+    public = bytes(public)
+    return _VERIFY_MEMO.get_or_build(public, lambda: _table_or_none(
+        _negated_point(public), _WNAF_POINT))
 
 
 def _batch_verify_point(public: bytes):
@@ -740,33 +744,18 @@ def _batch_verify_point(public: bytes):
     per-point table — while the Straus path derives its width-6 table
     from it (:func:`_batch_verify_table`), so the decompression square
     root is paid once per key either way."""
-    key = (b"point", bytes(public))
-    with _VERIFY_LOCK:
-        found, point = _VERIFY_MEMO.lookup(key)
-    if found:
-        return point
-    try:
-        point = _point_negate(_decompress(public))
-    except ValueError:
-        point = None
-    with _VERIFY_LOCK:
-        _VERIFY_MEMO.store(key, point)
-    return point
+    public = bytes(public)
+    return _VERIFY_MEMO.get_or_build((b"point", public),
+                                     lambda: _negated_point(public))
 
 
 def _batch_verify_table(public: bytes):
     """Like :func:`_verify_table` but width-:data:`_WNAF_BATCH`, for the
     long combined scalars of the batch-verify chain."""
-    key = (b"batch", bytes(public))
-    with _VERIFY_LOCK:
-        found, table = _VERIFY_MEMO.lookup(key)
-    if found:
-        return table
-    neg_a = _batch_verify_point(public)
-    table = None if neg_a is None else _point_table(neg_a, _WNAF_BATCH)
-    with _VERIFY_LOCK:
-        _VERIFY_MEMO.store(key, table)
-    return table
+    public = bytes(public)
+    return _VERIFY_MEMO.get_or_build(
+        (b"batch", public),
+        lambda: _table_or_none(_batch_verify_point(public), _WNAF_BATCH))
 
 
 def _compress(point) -> bytes:

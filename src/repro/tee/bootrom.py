@@ -19,7 +19,6 @@ Two concerns live here:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 
 from ..faults.injector import FAULTS
@@ -37,17 +36,15 @@ from .device import Device
 
 # Content-addressed measured-boot cache.  Boot is deterministic in the
 # device identity, the ROM section layout and the SM image bytes, so a
-# repeat boot of the same triple can replay the stored hand-off instead
-# of re-running two signatures and (in the PQ configuration) an ML-DSA
-# key regeneration.  Entries hold ``(report.encode(), perf_delta)`` —
-# the recorded PERF delta is merged on every hit so architectural
-# counter totals are independent of cache state.  The cache is never
-# consulted or populated while fault injection is armed (an injection
-# scenario must re-measure and re-sign for its faults to land) or while
-# a telemetry subscriber is active (timed spans cannot be replayed, so
-# traced boots always show the real span tree).
+# repeat boot of the same triple replays the stored hand-off instead of
+# re-running two signatures and (in the PQ configuration) an ML-DSA key
+# regeneration.  Entries hold the encoded report under the
+# :meth:`~repro.runtime.memo.Memo.get_or_build` replay contract, so PERF
+# totals are independent of cache state.  Only armed fault injection
+# bypasses the cache (an injection scenario must re-measure and re-sign
+# for its faults to land); traced boots take the production path and a
+# hit shows as one ``tee.boot.cache.hit`` span.
 _BOOT_MEMO = Memo(maxsize=64)
-_BOOT_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -224,35 +221,16 @@ class BootRom:
         """Run the measured-boot sequence and produce the SM hand-off.
 
         The sequence is deterministic, so repeat boots of the same
-        (device, layout, image) triple are served from a
-        content-addressed cache — unless fault injection is armed or a
-        telemetry subscriber is active, in which case the cache is
-        bypassed entirely and the full measure/sign sequence runs, so
-        injected faults take effect and traces show the real span tree
-        (PERF deltas can be replayed exactly on a hit; timed spans
-        cannot).  Cache hits replay the PERF delta recorded when the
-        entry was built, keeping counter totals cache-independent.
+        (device, layout, image) triple are served from the boot memo,
+        which replays the PERF delta of the original boot.  Armed fault
+        injection bypasses the memo, so injected faults take effect.
         """
-        if FAULTS.enabled or TELEMETRY.enabled:
+        if FAULTS.enabled:
             return self._boot(sm_binary)
-        key = self._boot_cache_key(sm_binary)
-        with _BOOT_LOCK:
-            found, entry = _BOOT_MEMO.lookup(key)
-        if found:
-            encoded, delta = entry
-            if delta is not None and PERF.enabled:
-                PERF.merge(delta)
-            return BootReport.decode(encoded)
-        if PERF.enabled:
-            before = PERF.snapshot()
-            report = self._boot(sm_binary)
-            delta = PERF.delta_since(before)
-        else:
-            report = self._boot(sm_binary)
-            delta = None
-        with _BOOT_LOCK:
-            _BOOT_MEMO.store(key, (report.encode(), delta))
-        return report
+        return BootReport.decode(_BOOT_MEMO.get_or_build(
+            self._boot_cache_key(sm_binary),
+            lambda: self._boot(sm_binary).encode(),
+            span="tee.boot.cache.hit"))
 
     def _boot(self, sm_binary: bytes) -> BootReport:
         """The real measured-boot sequence.

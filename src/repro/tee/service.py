@@ -38,8 +38,9 @@ Determinism is the design axis, same as the rest of the runtime:
   exact keys is memory: the cache pins up to ``cache_size`` reports,
   about 30 MB at the default 4096 PQ reports of 7,472 bytes.  Entries
   built by a single-request flush also record the PERF delta of the
-  verification and replay it on every hit (bootrom semantics: counter
-  totals independent of cache warmth).  Entries built by a multi-lane
+  verification and replay it on every hit, through the same
+  :func:`~repro.runtime.memo.record` / :func:`~repro.runtime.memo.replay`
+  pair as every other cache.  Entries built by a multi-lane
   batch deliberately store no delta — the combined-chain Ed25519
   counters are a property of the *batch*, not attributable to one
   lane — so their hits leave only the ``tee.service.*`` bookkeeping
@@ -51,7 +52,6 @@ Determinism is the design axis, same as the rest of the runtime:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from ..crypto.keccak import sha3_256, sha3_512
@@ -61,7 +61,7 @@ from ..obs import TELEMETRY
 from ..obs.audit import AUDIT
 from ..obs.perf import PERF
 from ..runtime.executor import run_sharded
-from ..runtime.memo import Memo
+from ..runtime.memo import Memo, record, replay
 from .attestation import (DEFAULT_REPORT_LEN, AttestationReport,
                           pq_report_len, verify_reports)
 
@@ -109,8 +109,7 @@ class AttestationService:
     """
 
     def __init__(self, devices=None, *, max_batch: int = 64,
-                 deadline_ticks: int = 4, session_cache: bool = True,
-                 cache_size: int = 4096,
+                 deadline_ticks: int = 4, cache_size: int = 4096,
                  params: MLDSAParams = ML_DSA_44):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -119,11 +118,9 @@ class AttestationService:
         self.max_batch = max_batch
         self.deadline_ticks = deadline_ticks
         self.params = params
-        self.session_cache_enabled = bool(session_cache)
         self._devices = {}
         self._expected_sm = {}
         self._cache = Memo(maxsize=cache_size)
-        self._cache_lock = threading.Lock()
         self._clock = 0
         self._next_seq = 0
         self._pending = []
@@ -256,13 +253,11 @@ class AttestationService:
                 results.extend(batch_results)
                 for key, entry in entries:
                     merged.setdefault(key, entry)
-            if self.session_cache_enabled:
-                with self._cache_lock:
-                    for key, entry in merged.items():
-                        # __contains__ skips the hit/miss accounting:
-                        # the merge is bookkeeping, not a cache access.
-                        if key not in self._cache:
-                            self._cache.store(key, entry)
+            for key, entry in merged.items():
+                # __contains__ skips the hit/miss accounting: the
+                # merge is bookkeeping, not a cache access.
+                if key not in self._cache:
+                    self._cache.store(key, entry)
             results.sort(key=lambda r: r["seq"])
         if TELEMETRY.enabled:
             self._publish_gauges(depth)
@@ -295,7 +290,7 @@ class AttestationService:
         here are captured and merged in shard order by the runtime, so
         the serial and parallel streams are identical.
         """
-        bypass = not self.session_cache_enabled or FAULTS.enabled
+        bypass = FAULTS.enabled
         with TELEMETRY.span("tee.service.batch", batch=len(batch)):
             lanes = []          # (request, identity, key) to verify
             hits = []           # (request, entry)
@@ -312,8 +307,7 @@ class AttestationService:
                     # Only lanes that passed the prefilter and decoded
                     # are ever stored, and the key holds every input of
                     # the prefilter, so a hit needs no prefilter.
-                    with self._cache_lock:
-                        found, entry = self._cache.lookup(key)
+                    found, entry = self._cache.lookup(key)
                     if found:
                         hits.append((request, entry))
                         continue
@@ -330,8 +324,7 @@ class AttestationService:
             if hits:
                 with TELEMETRY.span("tee.service.cache.hit", hits=len(hits)):
                     for request, (ok, token, reason, delta) in hits:
-                        if delta is not None and PERF.enabled:
-                            PERF.merge(delta)
+                        replay(delta)
                         results[request.seq] = self._result(request, ok,
                                                             token)
                         reasons[request.seq] = reason
@@ -383,12 +376,10 @@ class AttestationService:
             parsed.append((request, key))
         if not parsed:
             return []
-        measure = PERF.enabled and not bypass and len(parsed) == 1
-        if measure:
-            before = PERF.snapshot()
-        verdicts = verify_reports(reports, identities,
-                                  params=self.params)
-        delta = PERF.delta_since(before) if measure else None
+        verdicts, delta = record(lambda: verify_reports(
+            reports, identities, params=self.params))
+        if bypass or len(parsed) > 1:
+            delta = None    # only single-lane flushes keep a delta
         new_entries = []
         for (request, key), ok in zip(parsed, verdicts):
             token = self._session_token(key) if ok else ""

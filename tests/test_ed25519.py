@@ -102,3 +102,36 @@ class TestKeyPair:
         assert pair.verify(b"msg", sig)
         assert not pair.verify(b"other", sig)
         assert pair.public == ed25519.public_key(bytes(range(32)))
+
+
+def _invalid_public_key() -> bytes:
+    """The first 32-byte encoding that names no curve point."""
+    for first in range(256):
+        candidate = bytes([first, 1]) + bytes(30)
+        try:
+            ed25519._decompress(candidate)
+        except ValueError:
+            return candidate
+    raise AssertionError("no invalid encoding found")
+
+
+class TestKeyBufferTypes:
+    """Public keys may arrive as any bytes-like buffer: verification
+    returns a bool for each, and never raises."""
+
+    SEED = bytes(range(1, 33))
+    MESSAGES = (b"buffer-a", b"buffer-b")
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_verify_and_verify_batch(self, wrap, valid):
+        public = (ed25519.public_key(self.SEED) if valid
+                  else _invalid_public_key())
+        signatures = [ed25519.sign(self.SEED, m) for m in self.MESSAGES]
+        key = wrap(bytearray(public))
+        verdicts = [ed25519.verify(key, m, s)
+                    for m, s in zip(self.MESSAGES, signatures)]
+        batch = ed25519.verify_batch(
+            [(key, m, s) for m, s in zip(self.MESSAGES, signatures)])
+        for verdict in verdicts + batch:
+            assert verdict is valid

@@ -2,6 +2,8 @@
 spans/metrics when the global telemetry facade is enabled, and remain
 silent when it is disabled (the default)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,10 @@ def test_rtos_pmp_fault_counter(enabled_telemetry):
 def test_tee_boot_and_attest_spans(enabled_telemetry):
     from repro.tee import build_tee
 
-    platform = build_tee(post_quantum=True)
+    # A root secret no other test boots, so the boot memo is cold and
+    # the boot runs its full span tree.
+    secret = hashlib.sha3_256(b"test_tee_boot_and_attest_spans").digest()
+    platform = build_tee(secret, post_quantum=True)
     enclave = platform.sm.create_enclave(b"model-runner")
     platform.sm.attest_enclave(enclave, b"nonce")
     names = _span_names()

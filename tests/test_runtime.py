@@ -1,9 +1,15 @@
 """Unit tests for the deterministic parallel execution layer."""
 
+import hashlib
+import itertools
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro.obs import TELEMETRY
-from repro.obs.perf import PERF
+from repro.obs.perf import PERF, counting
 from repro.runtime import (Memo, available_cpus, chunk_bounds,
                            fork_available, parallel_map, resolve_jobs,
                            run_sharded, stride_shards)
@@ -255,3 +261,204 @@ class TestMemo:
     def test_rejects_bad_maxsize(self):
         with pytest.raises(ValueError):
             Memo(maxsize=0)
+
+    def test_get_or_build_builds_once(self):
+        memo = Memo()
+        calls = []
+        for _ in range(3):
+            assert memo.get_or_build("k", lambda: calls.append(1) or 7) == 7
+        assert calls == [1]
+        assert memo.hits == 2 and memo.misses == 1
+
+    def test_get_or_build_may_recurse(self):
+        memo = Memo()
+        assert memo.get_or_build(
+            "outer", lambda: memo.get_or_build("inner", lambda: 1) + 1) == 2
+        assert "inner" in memo and "outer" in memo
+
+    def test_concurrent_access_loses_no_update(self):
+        memo = Memo(maxsize=8)
+        threads, rounds = 8, 2000
+
+        def worker(offset):
+            for i in range(rounds):
+                memo.get_or_build((offset + i) % 16, lambda: i)
+        workers = [threading.Thread(target=worker, args=(t,), daemon=True)
+                   for t in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert memo.hits + memo.misses == threads * rounds
+        assert len(memo) <= memo.maxsize
+
+
+# ---------------------------------------------------------------------------
+# The replay-cache invariant suite: every production cache site served
+# through Memo.get_or_build obeys the same contract.
+
+_FRESH = itertools.count()
+_SM_IMAGE = b"memo-suite-sm-image" * 32
+
+
+def _fresh_seed(tag: str) -> bytes:
+    """A 32-byte seed no other call in this process uses, so the first
+    access through a site is a cold miss."""
+    return hashlib.sha3_256(
+        f"memo-suite:{tag}:{next(_FRESH)}".encode()).digest()
+
+
+def _canonical(value) -> bytes:
+    """Bytes that pin a cached value, slotted context objects by their
+    slot values."""
+    slots = getattr(type(value), "__slots__", None)
+    if slots:
+        value = [getattr(value, name) for name in slots]
+    return pickle.dumps(value)
+
+
+class _Site:
+    """One cache site: ``fresh()`` makes a never-seen input, ``call``
+    goes through the memo, ``cold`` builds without it, ``probe`` names
+    a function every build calls, and ``counts`` are PERF events every
+    access must show."""
+
+    def __init__(self, name, memo, fresh, call, cold, probe,
+                 hit_span=None, counts=None):
+        self.name, self.memo = name, memo
+        self.fresh, self.call, self.cold = fresh, call, cold
+        self.probe, self.hit_span = probe, hit_span
+        self.counts = counts or {}
+
+    def __repr__(self):
+        return self.name
+
+
+def _sites():
+    from repro.crypto import ed25519, mldsa
+    from repro.crypto.mldsa import (ML_DSA_44, MLDSA, MLDSASigner,
+                                    MLDSAVerifier)
+    from repro.tee import bootrom
+    from repro.tee.device import Device
+
+    scheme = MLDSA(ML_DSA_44)
+
+    def fresh_rom():
+        return bootrom.BootRom(Device(_fresh_seed("boot"),
+                                      post_quantum=True))
+
+    def fresh_keypair():
+        return scheme._key_gen(_fresh_seed("mldsa"))
+
+    def fresh_ed_public():
+        return ed25519.public_key(_fresh_seed("ed25519"))
+
+    def neg_a(public):
+        return ed25519._point_negate(ed25519._decompress(public))
+
+    return [
+        _Site("boot", bootrom._BOOT_MEMO, fresh_rom,
+              lambda rom: rom.boot(_SM_IMAGE),
+              lambda rom: rom._boot(_SM_IMAGE),
+              (bootrom, "sm_certificate_payload"),
+              hit_span="tee.boot.cache.hit",
+              counts={"tee.bootrom.boots": 1, "crypto.mldsa.sign": 2}),
+        _Site("mldsa.key_gen", mldsa._CTX_MEMO,
+              lambda: _fresh_seed("key_gen"), scheme.key_gen,
+              scheme._key_gen, (mldsa, "expand_a"),
+              counts={"crypto.mldsa.key_gen": 1,
+                      "crypto.mldsa.ntt_calls": 8}),
+        _Site("mldsa.signer", mldsa._CTX_MEMO,
+              lambda: fresh_keypair()[1], scheme.signer,
+              lambda sk: MLDSASigner(ML_DSA_44, sk), (mldsa, "expand_a")),
+        _Site("mldsa.verifier", mldsa._CTX_MEMO,
+              lambda: fresh_keypair()[0], scheme.verifier,
+              lambda pk: MLDSAVerifier(ML_DSA_44, pk), (mldsa, "expand_a")),
+        _Site("ed25519.verify_table", ed25519._VERIFY_MEMO,
+              fresh_ed_public, ed25519._verify_table,
+              lambda pk: ed25519._point_table(neg_a(pk)),
+              (ed25519, "_negated_point")),
+        _Site("ed25519.batch_point", ed25519._VERIFY_MEMO,
+              fresh_ed_public, ed25519._batch_verify_point, neg_a,
+              (ed25519, "_negated_point")),
+        _Site("ed25519.batch_table", ed25519._VERIFY_MEMO,
+              fresh_ed_public, ed25519._batch_verify_table,
+              lambda pk: ed25519._point_table(neg_a(pk),
+                                              ed25519._WNAF_BATCH),
+              (ed25519, "_negated_point")),
+    ]
+
+
+_SITES = _sites()
+
+
+@pytest.fixture
+def perf_off():
+    """PERF off (so entries record no delta), restored afterwards."""
+    was = PERF.enabled
+    PERF.enabled = False
+    yield
+    PERF.enabled = was
+
+
+def _measured(fn, arg):
+    with counting() as window:
+        value = fn(arg)
+    return _canonical(value), window.delta()
+
+
+@pytest.mark.parametrize("site", _SITES, ids=repr)
+class TestReplayCacheInvariants:
+    def test_hit_is_byte_identical_with_cold_delta(self, site):
+        x = site.fresh()
+        cold = _measured(site.cold, x)
+        misses = site.memo.misses
+        assert _measured(site.call, x) == cold
+        assert site.memo.misses > misses  # nested builds miss too
+        hits = site.memo.hits
+        assert _measured(site.call, x) == cold
+        assert site.memo.hits == hits + 1
+
+    def test_perf_off_entry_rebuilds_for_perf_on_lookup(self, site,
+                                                        perf_off):
+        x = site.fresh()
+        site.call(x)                    # stores an entry with no delta
+        warm = _measured(site.call, x)
+        assert warm == _measured(site.cold, x)
+        assert _measured(site.call, x) == warm
+        assert site.counts.items() <= warm[1].items()
+
+    def test_telemetry_takes_the_same_path(self, site, enabled_obs):
+        x = site.fresh()
+        cold = _measured(site.cold, x)
+        assert _measured(site.call, x) == cold
+        TELEMETRY.reset()
+        assert _measured(site.call, x) == cold
+        names = {record["name"] for record in TELEMETRY.tracer.snapshot()}
+        # Only the boot memo marks its hits; per-lane crypto hits stay
+        # out of traces.
+        assert names == ({site.hit_span} if site.hit_span else set())
+
+    def test_lock_is_released_during_build(self, site, monkeypatch):
+        module, attr = site.probe
+        original = getattr(module, attr)
+        held = []
+
+        def probe(*args):
+            held.append(site.memo._lock.locked())
+            return original(*args)
+        monkeypatch.setattr(module, attr, probe)
+        x = site.fresh()
+        worker = threading.Thread(target=site.call, args=(x,),
+                                  daemon=True)
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive(), "build deadlocked on the memo lock"
+        assert held and not any(held)
+

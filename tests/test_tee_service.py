@@ -247,8 +247,11 @@ class TestSessionCache:
                        ("cl0", fleet["cl_reports"][0]),
                        ("pq0", fleet["pq_reports"][0])]
         cached = _service(fleet).process(list(submissions), jobs=1)
-        uncached = _service(fleet, session_cache=False).process(
-            list(submissions), jobs=1)
+        # The uncached oracle: a cold service per request (each one
+        # admits its request as seq 0, so renumber in submission order).
+        uncached = [dict(_service(fleet).process([submission], jobs=1)[0],
+                         seq=seq)
+                    for seq, submission in enumerate(submissions)]
         assert canonical_encode(uncached) == canonical_encode(cached)
 
 
@@ -337,8 +340,7 @@ class TestExactKey:
                 bypassed = svc.process(submission, jobs=1)[0]
             finally:
                 FAULTS.disarm()
-            uncached = _service(fleet, session_cache=False).process(
-                submission, jobs=1)[0]
+            uncached = _service(fleet).process(submission, jobs=1)[0]
             for result in (fresh, hit, bypassed, uncached):
                 assert result["ok"] is True
                 assert result["session"] == token
