@@ -3,10 +3,8 @@
 Attestation verifiers and campaign oracles process signatures in
 batches, so the per-operation cost that matters at scale is the
 *amortized* one: ML-DSA ``sign_many``/``verify_many`` stack message
-lanes through the int64 NTT kernels, Ed25519 batch verification folds
-the whole batch into one random-linear-combination equation, and the
-multi-input Keccak sponge absorbs a ragged batch in lockstep buckets
-keyed by padded block count.
+lanes through the int64 NTT kernels, and Ed25519 batch verification
+folds the whole batch into one random-linear-combination equation.
 
 Every benchmarked batch call is parity-checked against the per-call
 scalar loop in the same test (byte- or boolean-identical), the batch
@@ -22,7 +20,6 @@ import pytest
 
 from repro.crypto import MLDSA, ML_DSA_44
 from repro.crypto import ed25519 as ed
-from repro.crypto import keccak as kc
 from repro.obs.perf import counting
 from repro.runtime import available_cpus
 
@@ -36,7 +33,6 @@ BATCH = 64
 MLDSA_SIGN_BATCH_FLOOR = 1.8
 MLDSA_VERIFY_BATCH_FLOOR = 2.0
 ED25519_BATCH_FLOOR = 2.0
-KECCAK_BATCH_FLOOR = 2.0
 _GATE_MIN_CPUS = 4
 
 
@@ -100,13 +96,6 @@ def test_ed25519_verify_batch64(benchmark, ed_batch_items):
                   rounds=5) == [True] * BATCH
 
 
-def test_keccak_multi_input_batch64(benchmark, batch_messages):
-    digests = _timed(benchmark,
-                     lambda: kc.pure_sha3_256_many(batch_messages),
-                     rounds=5)
-    assert digests == [kc.pure_sha3_256(m) for m in batch_messages]
-
-
 def test_batch_counters_move(benchmark, mldsa44, batch_messages,
                              mldsa44_sigs, ed_batch_items):
     """The batch-lane counters must attribute exactly one batch pass —
@@ -168,10 +157,6 @@ def test_batch_amortization_floors(benchmark, mldsa44, batch_messages,
     batch_ed = clock(lambda: ed.verify_batch(ed_batch_items), 5)
     scalar_ed = clock(
         lambda: [ed.verify(*item) for item in ed_batch_items], 3)
-    batch_keccak = clock(
-        lambda: kc.pure_sha3_256_many(batch_messages), 5)
-    scalar_keccak = clock(
-        lambda: [kc.pure_sha3_256(m) for m in batch_messages], 3)
 
     def row(name, scalar, batch, floor):
         return [name, f"{scalar / BATCH * 1e6:.1f} us",
@@ -185,8 +170,6 @@ def test_batch_amortization_floors(benchmark, mldsa44, batch_messages,
             MLDSA_VERIFY_BATCH_FLOOR),
         row("Ed25519 RLC verify_batch", scalar_ed, batch_ed,
             ED25519_BATCH_FLOOR),
-        row("SHA3-256 multi-input", scalar_keccak, batch_keccak,
-            KECCAK_BATCH_FLOOR),
     ]
     write_table(report_dir, "crypto_batch_amortization",
                 f"Batch-{BATCH} amortized per-op cost vs cached-context "
@@ -201,5 +184,3 @@ def test_batch_amortization_floors(benchmark, mldsa44, batch_messages,
         assert scalar_verify / batch_verify >= \
             MLDSA_VERIFY_BATCH_FLOOR, rows[1]
         assert scalar_ed / batch_ed >= ED25519_BATCH_FLOOR, rows[2]
-        assert scalar_keccak / batch_keccak >= KECCAK_BATCH_FLOOR, \
-            rows[3]

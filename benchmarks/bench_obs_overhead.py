@@ -6,7 +6,7 @@ second promise: with the tracer, perf counters and a bounded-memory
 span sink all running, a crypto hot loop slows down by less than the
 10 % budget the paper's lightweight-monitoring claims assume.  This
 bench measures both promises instead of trusting them: it times the
-same Keccak-f[1600] hot loop three ways —
+same AES block-encryption hot loop three ways —
 
 * ``pristine``  — the bare workload, no instrumentation in the loop,
 * ``off``       — fully instrumented loop (span + counter + perf
@@ -31,18 +31,20 @@ import time
 import pytest
 
 from conftest import write_table
-from repro.crypto.keccak import keccak_f1600
+from repro.crypto import AES
 from repro.obs import PerfCounters, Telemetry
 from repro.obs.stream import SpanStream
 
-#: Keccak-f[1600] permutations folded into one instrumented iteration.
-#: Each permutation is a few hundred microseconds of pure-Python work,
-#: so a ~5 us span costs ~1 % — real headroom under the 10 % gate
-#: rather than a tautology, and enough work per timed run (~35 ms)
+#: AES-128 block encryptions folded into one instrumented iteration.
+#: Each block is ~16 us of pure-Python T-table work, so an iteration is
+#: ~0.8 ms and a ~5 us span costs ~1 % — real headroom under the 10 %
+#: gate rather than a tautology, and enough work per timed run (~35 ms)
 #: that scheduler noise stays small relative to the budgets.
-PERMS_PER_ITER = 4
-ITERS = 40
+BLOCKS_PER_ITER = 48
+ITERS = 45
 REPEATS = 7
+
+_CIPHER = AES(bytes(range(16)))
 
 #: Relative-overhead budgets, percent.  The "off" budget is the
 #: one-attribute-check promise (measured ~0 %, gated loosely enough to
@@ -52,28 +54,28 @@ OVERHEAD_BUDGET_OFF_PCT = 5.0
 OVERHEAD_BUDGET_ON_PCT = 10.0
 
 
-def _pristine_loop() -> list:
+def _pristine_loop() -> bytes:
     """The bare workload: no instrumentation in the loop body."""
-    state = list(range(25))
+    state = bytes(16)
     for _ in range(ITERS):
-        for _ in range(PERMS_PER_ITER):
-            state = keccak_f1600(state)
+        for _ in range(BLOCKS_PER_ITER):
+            state = _CIPHER.encrypt_block(state)
     return state
 
 
-def _instrumented_loop(tel: Telemetry, perf: PerfCounters) -> list:
+def _instrumented_loop(tel: Telemetry, perf: PerfCounters) -> bytes:
     """The same workload wrapped the way hot subsystems instrument
     themselves: one span, one metric counter and one perf event per
     iteration."""
-    state = list(range(25))
+    state = bytes(16)
     counter = tel.counter("obs_overhead.iters")
     for index in range(ITERS):
         with tel.span("obs_overhead.iter", index=index):
-            for _ in range(PERMS_PER_ITER):
-                state = keccak_f1600(state)
+            for _ in range(BLOCKS_PER_ITER):
+                state = _CIPHER.encrypt_block(state)
             counter.inc()
             if perf.enabled:
-                perf.inc("obs_overhead.permutations", PERMS_PER_ITER)
+                perf.inc("obs_overhead.blocks", BLOCKS_PER_ITER)
     return state
 
 
@@ -160,14 +162,14 @@ def test_enabled_run_actually_observed(measurements):
     assert tel.metrics.counter("obs_overhead.iters").value == \
         (REPEATS + 1) * ITERS
     perf = measurements["perf_on"]
-    assert perf.snapshot()["obs_overhead.permutations"] == \
-        (REPEATS + 1) * ITERS * PERMS_PER_ITER
+    assert perf.snapshot()["obs_overhead.blocks"] == \
+        (REPEATS + 1) * ITERS * BLOCKS_PER_ITER
     # the drained tracer is the bounded-memory promise
     assert tel.tracer.finished_count() == 0
 
 
 def test_write_artifacts(measurements, report_dir):
-    perms = ITERS * PERMS_PER_ITER
+    blocks = ITERS * BLOCKS_PER_ITER
     rows = []
     for mode, key, pct in (
             ("pristine", "pristine_s", None),
@@ -178,7 +180,7 @@ def test_write_artifacts(measurements, report_dir):
         rows.append([
             mode,
             f"{wall * 1e3:.2f} ms",
-            f"{perms / wall:,.0f}",
+            f"{blocks / wall:,.0f}",
             f"{measurements[pct]:+.2f}%" if pct else "-",
             (f"< {OVERHEAD_BUDGET_OFF_PCT:.0f}%" if pct == "off_pct"
              else f"< {OVERHEAD_BUDGET_ON_PCT:.0f}%" if pct == "on_pct"
@@ -186,7 +188,7 @@ def test_write_artifacts(measurements, report_dir):
         ])
     write_table(
         report_dir, "obs_overhead",
-        f"Telemetry overhead budget: Keccak-f[1600] hot loop "
-        f"({ITERS} iters x {PERMS_PER_ITER} permutations, best of "
+        f"Telemetry overhead budget: AES-128 block hot loop "
+        f"({ITERS} iters x {BLOCKS_PER_ITER} blocks, best of "
         f"{REPEATS}), instrumented vs pristine",
-        ["variant", "wall", "perms/s", "overhead", "budget"], rows)
+        ["variant", "wall", "blocks/s", "overhead", "budget"], rows)

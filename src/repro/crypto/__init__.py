@@ -1,9 +1,10 @@
 """Cryptographic substrate for the CONVOLVE reproduction.
 
-Everything the post-quantum TEE and the HADES case studies rely on,
-implemented from scratch in pure Python:
+Everything the post-quantum TEE and the HADES case studies rely on.
+SHA-3/SHAKE run on :mod:`hashlib`; the rest is implemented from scratch
+in pure Python:
 
-* :mod:`~repro.crypto.keccak` — Keccak-f[1600], SHA3-256/512, SHAKE128/256
+* :mod:`~repro.crypto.keccak` — SHA3-256/512, SHAKE128/256 over hashlib
 * :mod:`~repro.crypto.aes` — AES-128/192/256 + CTR + encrypt-then-MAC AEAD
 * :mod:`~repro.crypto.ed25519` — RFC 8032 signatures (Keystone default)
 * :mod:`~repro.crypto.mldsa` — FIPS 204 ML-DSA-44/65/87 (the PQ addition)
@@ -12,12 +13,13 @@ implemented from scratch in pure Python:
 * :mod:`~repro.crypto.kdf` — SHAKE256 key derivation
 
 These are behavioural references for the simulator, not hardened
-constant-time implementations.  The hot paths — the unrolled
-Keccak-f[1600], windowed Ed25519 scalar multiplication, keyed ML-DSA
-signing/verification contexts on batched int64 numpy NTT kernels, and
-AES T-tables — are pinned byte-identical to retained loop-form
-references by KAT and hypothesis parity suites
-(``tests/test_crypto_fastpaths.py``).
+constant-time implementations.  The hot paths — windowed Ed25519
+scalar multiplication, keyed ML-DSA signing/verification contexts on
+batched int64 numpy NTT kernels, and AES T-tables — are pinned
+byte-identical to retained loop-form references by KAT and hypothesis
+parity suites (``tests/test_crypto_fastpaths.py``).  The from-scratch
+Keccak-f[1600] sponge lives in ``tests/reference/keccak.py`` as the
+FIPS 202 oracle ``tests/test_keccak.py`` pins ``hashlib`` against.
 """
 
 from .keccak import sha3_256, sha3_512, shake128, shake256

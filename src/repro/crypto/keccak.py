@@ -1,580 +1,76 @@
-"""Pure-Python Keccak-f[1600] sponge, SHA-3 and SHAKE (FIPS 202).
+"""SHA-3 and SHAKE (FIPS 202) for the simulator, backed by ``hashlib``.
 
 The CONVOLVE paper (Section III-A/III-B) uses Keccak both as a hardware
 accelerator target (it is a subroutine of BIKE and CRYSTALS-Dilithium) and
 as the measurement hash of the Keystone security monitor.  This module is
-the software reference used by the TEE substrate (:mod:`repro.tee`) and by
-ML-DSA (:mod:`repro.crypto.mldsa`).
+the one production path used by the TEE substrate (:mod:`repro.tee`),
+ML-DSA (:mod:`repro.crypto.mldsa`), ML-KEM, the KDF and Ed25519: CPython's
+C implementation of FIPS 202, always present on Python >= 3.6.
 
-The implementation is written from scratch and is cross-validated against
-``hashlib`` in the test suite.  The permutation is a fully unrolled
-Keccak-f[1600] round over 25 local lane variables (generated and pinned
-by ``scripts/gen_keccak_unrolled.py``); the original loop form is
-retained as :func:`keccak_f1600_reference` and the two are pinned
-byte-equal by hypothesis property tests.  The sponge absorbs and
-squeezes whole blocks at a time via ``struct``.
+The from-scratch Keccak-f[1600] permutation and sponge live in
+``tests/reference/keccak.py`` as the test oracle; the suite pins them
+byte-identical to ``hashlib`` on KATs and hypothesis inputs.
 """
 
-from __future__ import annotations
-
-import struct
-
-import numpy as np
-
-from ..obs.perf import PERF
-
-_MASK64 = (1 << 64) - 1
-
-#: Round constants for the iota step of Keccak-f[1600].
-ROUND_CONSTANTS = (
-    0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
-    0x8000000080008000, 0x000000000000808B, 0x0000000080000001,
-    0x8000000080008081, 0x8000000000008009, 0x000000000000008A,
-    0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
-    0x000000008000808B, 0x800000000000008B, 0x8000000000008089,
-    0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
-    0x000000000000800A, 0x800000008000000A, 0x8000000080008081,
-    0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-)
-
-def _rho_offsets() -> tuple:
-    """Compute the FIPS 202 rho rotation offsets, indexed ``[x][y]``.
-
-    Derived from the defining recurrence: starting at lane (1, 0), step t
-    rotates by (t+1)(t+2)/2 and moves to (y, 2x + 3y mod 5).
-    """
-    offsets = [[0] * 5 for _ in range(5)]
-    x, y = 1, 0
-    for t in range(24):
-        offsets[x][y] = ((t + 1) * (t + 2) // 2) % 64
-        x, y = y, (2 * x + 3 * y) % 5
-    return tuple(tuple(row) for row in offsets)
-
-
-#: FIPS 202 rho-step rotation offsets, indexed ``[x][y]``.
-ROTATION_OFFSETS = _rho_offsets()
-
-
-def _rotl64(value: int, shift: int) -> int:
-    """Rotate a 64-bit lane left by ``shift`` bits."""
-    shift %= 64
-    if shift == 0:
-        return value
-    return ((value << shift) | (value >> (64 - shift))) & _MASK64
-
-
-def keccak_f1600_reference(lanes: list) -> list:
-    """The loop-form Keccak-f[1600] the unrolled permutation is pinned to.
-
-    Same contract as :func:`keccak_f1600`: a flat list of 25 lanes in,
-    a new list out.  Kept as the readable semantic reference; the test
-    suite proves ``keccak_f1600`` byte-equal to it on random states.
-    """
-    a = list(lanes)
-    for rc in ROUND_CONSTANTS:
-        # theta
-        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20]
-             for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rotl64(c[(x + 1) % 5], 1) for x in range(5)]
-        for x in range(5):
-            for y in range(5):
-                a[x + 5 * y] ^= d[x]
-        # rho and pi
-        b = [0] * 25
-        for x in range(5):
-            for y in range(5):
-                nx, ny = y, (2 * x + 3 * y) % 5
-                b[nx + 5 * ny] = _rotl64(a[x + 5 * y],
-                                         ROTATION_OFFSETS[x][y])
-        # chi
-        for x in range(5):
-            for y in range(5):
-                a[x + 5 * y] = b[x + 5 * y] ^ (
-                    (~b[(x + 1) % 5 + 5 * y] & _MASK64)
-                    & b[(x + 2) % 5 + 5 * y])
-        # iota
-        a[0] ^= rc
-    return a
-
-
-# BEGIN GENERATED (scripts/gen_keccak_unrolled.py)
-def keccak_f1600(lanes: list) -> list:
-    """Apply the Keccak-f[1600] permutation to 25 lanes (5x5, row-major x).
-
-    ``lanes`` is a flat list of 25 integers where lane ``(x, y)`` lives at
-    index ``x + 5 * y``.  A new list is returned; the input is not mutated.
-
-    The round body is fully unrolled over 25 locals (generated and pinned
-    by ``scripts/gen_keccak_unrolled.py``); ``keccak_f1600_reference``
-    keeps the loop form the unrolled code is tested against.
-    """
-    if PERF.enabled:
-        PERF.inc("crypto.keccak.permutations")
-    m = _MASK64
-    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = lanes
-    for rc in ROUND_CONSTANTS:
-        # theta
-        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
-        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
-        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
-        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
-        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
-        d0 = c4 ^ (((c1 << 1) | (c1 >> 63)) & m)
-        d1 = c0 ^ (((c2 << 1) | (c2 >> 63)) & m)
-        d2 = c1 ^ (((c3 << 1) | (c3 >> 63)) & m)
-        d3 = c2 ^ (((c4 << 1) | (c4 >> 63)) & m)
-        d4 = c3 ^ (((c0 << 1) | (c0 >> 63)) & m)
-        # rho + pi (theta's d folded into the rotation input)
-        b0 = a0 ^ d0
-        t = a5 ^ d0
-        b16 = ((t << 36) | (t >> 28)) & m
-        t = a10 ^ d0
-        b7 = ((t << 3) | (t >> 61)) & m
-        t = a15 ^ d0
-        b23 = ((t << 41) | (t >> 23)) & m
-        t = a20 ^ d0
-        b14 = ((t << 18) | (t >> 46)) & m
-        t = a1 ^ d1
-        b10 = ((t << 1) | (t >> 63)) & m
-        t = a6 ^ d1
-        b1 = ((t << 44) | (t >> 20)) & m
-        t = a11 ^ d1
-        b17 = ((t << 10) | (t >> 54)) & m
-        t = a16 ^ d1
-        b8 = ((t << 45) | (t >> 19)) & m
-        t = a21 ^ d1
-        b24 = ((t << 2) | (t >> 62)) & m
-        t = a2 ^ d2
-        b20 = ((t << 62) | (t >> 2)) & m
-        t = a7 ^ d2
-        b11 = ((t << 6) | (t >> 58)) & m
-        t = a12 ^ d2
-        b2 = ((t << 43) | (t >> 21)) & m
-        t = a17 ^ d2
-        b18 = ((t << 15) | (t >> 49)) & m
-        t = a22 ^ d2
-        b9 = ((t << 61) | (t >> 3)) & m
-        t = a3 ^ d3
-        b5 = ((t << 28) | (t >> 36)) & m
-        t = a8 ^ d3
-        b21 = ((t << 55) | (t >> 9)) & m
-        t = a13 ^ d3
-        b12 = ((t << 25) | (t >> 39)) & m
-        t = a18 ^ d3
-        b3 = ((t << 21) | (t >> 43)) & m
-        t = a23 ^ d3
-        b19 = ((t << 56) | (t >> 8)) & m
-        t = a4 ^ d4
-        b15 = ((t << 27) | (t >> 37)) & m
-        t = a9 ^ d4
-        b6 = ((t << 20) | (t >> 44)) & m
-        t = a14 ^ d4
-        b22 = ((t << 39) | (t >> 25)) & m
-        t = a19 ^ d4
-        b13 = ((t << 8) | (t >> 56)) & m
-        t = a24 ^ d4
-        b4 = ((t << 14) | (t >> 50)) & m
-        # chi + iota
-        a0 = (b0 ^ ((b1 ^ m) & b2)) ^ rc
-        a1 = (b1 ^ ((b2 ^ m) & b3))
-        a2 = (b2 ^ ((b3 ^ m) & b4))
-        a3 = (b3 ^ ((b4 ^ m) & b0))
-        a4 = (b4 ^ ((b0 ^ m) & b1))
-        a5 = (b5 ^ ((b6 ^ m) & b7))
-        a6 = (b6 ^ ((b7 ^ m) & b8))
-        a7 = (b7 ^ ((b8 ^ m) & b9))
-        a8 = (b8 ^ ((b9 ^ m) & b5))
-        a9 = (b9 ^ ((b5 ^ m) & b6))
-        a10 = (b10 ^ ((b11 ^ m) & b12))
-        a11 = (b11 ^ ((b12 ^ m) & b13))
-        a12 = (b12 ^ ((b13 ^ m) & b14))
-        a13 = (b13 ^ ((b14 ^ m) & b10))
-        a14 = (b14 ^ ((b10 ^ m) & b11))
-        a15 = (b15 ^ ((b16 ^ m) & b17))
-        a16 = (b16 ^ ((b17 ^ m) & b18))
-        a17 = (b17 ^ ((b18 ^ m) & b19))
-        a18 = (b18 ^ ((b19 ^ m) & b15))
-        a19 = (b19 ^ ((b15 ^ m) & b16))
-        a20 = (b20 ^ ((b21 ^ m) & b22))
-        a21 = (b21 ^ ((b22 ^ m) & b23))
-        a22 = (b22 ^ ((b23 ^ m) & b24))
-        a23 = (b23 ^ ((b24 ^ m) & b20))
-        a24 = (b24 ^ ((b20 ^ m) & b21))
-    return [a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-            a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24]
-# END GENERATED
-
-
-def _rotl64_np(value: "np.ndarray", shift: int) -> "np.ndarray":
-    """Rotate each uint64 element of ``value`` left by ``shift`` bits."""
-    shift %= 64
-    if shift == 0:
-        return value
-    return (value << np.uint64(shift)) | (value >> np.uint64(64 - shift))
-
-
-def keccak_f1600_many(states: "np.ndarray") -> "np.ndarray":
-    """Keccak-f[1600] applied lane-parallel to a ``(batch, 25)`` state.
-
-    ``states`` is a uint64 array where row ``b`` holds the 25 lanes of
-    state ``b`` in the same ``x + 5 * y`` order as :func:`keccak_f1600`.
-    A new array is returned; the input is not mutated.  The permutation
-    counter ticks once per row, so batch and per-state totals agree.
-    """
-    if PERF.enabled:
-        PERF.inc("crypto.keccak.permutations", int(states.shape[0]))
-    a = [states[:, i].copy() for i in range(25)]
-    for rc in ROUND_CONSTANTS:
-        # theta
-        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20]
-             for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rotl64_np(c[(x + 1) % 5], 1)
-             for x in range(5)]
-        # rho and pi
-        b = [None] * 25
-        for x in range(5):
-            for y in range(5):
-                nx, ny = y, (2 * x + 3 * y) % 5
-                b[nx + 5 * ny] = _rotl64_np(a[x + 5 * y] ^ d[x],
-                                            ROTATION_OFFSETS[x][y])
-        # chi
-        for x in range(5):
-            for y in range(5):
-                a[x + 5 * y] = b[x + 5 * y] ^ (
-                    ~b[(x + 1) % 5 + 5 * y] & b[(x + 2) % 5 + 5 * y])
-        # iota
-        a[0] = a[0] ^ np.uint64(rc)
-    return np.stack(a, axis=1)
-
-
-def _sponge_lockstep(messages, rate_bytes: int, domain_suffix: int,
-                     out_len: int) -> list:
-    """Lockstep batch sponge over messages with ONE padded block count.
-
-    Every message pads to the same number of rate-sized blocks (the
-    caller buckets by ``len(m) // rate``), so the batch absorbs (and
-    squeezes) in lockstep: one vectorized permutation per block position
-    instead of one scalar permutation per message per block.  The pad
-    position differs per message — each padded row is built
-    independently — but the block *schedule* is shared, which is all
-    lockstep needs.  Byte-identical to the scalar sponge per message,
-    with the same permutation counter totals.
-    """
-    n = len(messages)
-    parts = []
-    for m in messages:
-        pad_len = rate_bytes - (len(m) % rate_bytes)
-        padding = bytearray(pad_len)
-        padding[0] = domain_suffix
-        padding[-1] ^= 0x80
-        parts.append(bytes(m))
-        parts.append(bytes(padding))
-    padded = b"".join(parts)
-    total = len(padded) // n
-    lanes_per_block = rate_bytes // 8
-    words = np.frombuffer(padded, dtype="<u8").reshape(
-        n, total // rate_bytes, lanes_per_block)
-    states = np.zeros((n, 25), dtype=np.uint64)
-    for block in range(words.shape[1]):
-        states[:, :lanes_per_block] ^= words[:, block, :]
-        states = keccak_f1600_many(states)
-    chunks = [states[:, :lanes_per_block]]
-    produced = rate_bytes
-    while produced < out_len:
-        states = keccak_f1600_many(states)
-        chunks.append(states[:, :lanes_per_block])
-        produced += rate_bytes
-    stream = np.ascontiguousarray(np.concatenate(chunks, axis=1))
-    raw = stream.astype("<u8").tobytes()
-    per = stream.shape[1] * 8
-    return [raw[i * per:i * per + out_len] for i in range(n)]
-
-
-def _sponge_many(messages, rate_bytes: int, domain_suffix: int,
-                 out_len: int) -> list:
-    """Hash a (possibly ragged-length) batch through lockstep sponges.
-
-    Messages are bucketed by padded block count — ``len(m) // rate``,
-    since FIPS 202 padding always adds between 1 and ``rate`` bytes —
-    and each bucket runs one lockstep pass (:func:`_sponge_lockstep`).
-    Results come back in input order, and the permutation counter total
-    is exactly the sum of the scalar per-message schedules, independent
-    of how the lengths bucket.  Only lane-aligned rates (the FIPS 202
-    ones) are supported.
-    """
-    if rate_bytes % 8:
-        raise ValueError("batch sponge requires a lane-aligned rate")
-    if not len(messages):
-        return []
-    buckets = {}
-    for i, m in enumerate(messages):
-        buckets.setdefault(len(m) // rate_bytes, []).append(i)
-    out = [None] * len(messages)
-    for _blocks, indices in sorted(buckets.items()):
-        digests = _sponge_lockstep([messages[i] for i in indices],
-                                   rate_bytes, domain_suffix, out_len)
-        for i, digest in zip(indices, digests):
-            out[i] = digest
-    return out
-
-
-class KeccakSponge:
-    """Incremental Keccak sponge with a byte-granular rate.
-
-    Parameters
-    ----------
-    rate_bytes:
-        Sponge rate in bytes (block size); capacity is ``200 - rate``.
-    domain_suffix:
-        Padding domain-separation byte (``0x06`` for SHA-3, ``0x1F`` for
-        SHAKE, ``0x01`` for original Keccak).
-    """
-
-    def __init__(self, rate_bytes: int, domain_suffix: int):
-        if not 0 < rate_bytes < 200:
-            raise ValueError(f"rate must be in (0, 200), got {rate_bytes}")
-        self.rate_bytes = rate_bytes
-        self.domain_suffix = domain_suffix
-        self._lanes = [0] * 25
-        self._buffer = bytearray()
-        self._squeezing = False
-        self._squeeze_offset = 0
-
-    def absorb(self, data: bytes) -> "KeccakSponge":
-        """Absorb ``data`` into the sponge; chainable."""
-        if self._squeezing:
-            raise RuntimeError("cannot absorb after squeezing has begun")
-        buffer = self._buffer
-        buffer.extend(data)
-        rate = self.rate_bytes
-        if len(buffer) >= rate:
-            blocks = len(buffer) // rate
-            chunk = bytes(buffer[:blocks * rate])
-            del buffer[:blocks * rate]
-            self._absorb_blocks(chunk)
-        return self
-
-    def _absorb_blocks(self, chunk: bytes) -> None:
-        """XOR-and-permute whole rate-sized blocks (``chunk`` is a
-        multiple of the rate)."""
-        rate = self.rate_bytes
-        lanes_per_block = rate // 8
-        # A partial trailing lane only occurs for non-lane-aligned rates;
-        # the padded final block always fills the rate, so for the
-        # standard FIPS 202 rates nothing remains.
-        fmt = f"<{lanes_per_block}Q"
-        lanes = self._lanes
-        for offset in range(0, len(chunk), rate):
-            words = struct.unpack_from(fmt, chunk, offset)
-            for i in range(lanes_per_block):
-                lanes[i] ^= words[i]
-            lanes = keccak_f1600(lanes)
-        self._lanes = lanes
-
-    def _pad(self) -> None:
-        pad_len = self.rate_bytes - (len(self._buffer) % self.rate_bytes)
-        padding = bytearray(pad_len)
-        padding[0] = self.domain_suffix
-        padding[-1] ^= 0x80
-        self._buffer.extend(padding)
-        chunk = bytes(self._buffer)
-        del self._buffer[:]
-        self._absorb_blocks(chunk)
-
-    def _serialize_rate(self) -> bytes:
-        """The rate-sized prefix of the state as bytes (one output
-        block of the squeezing phase)."""
-        full, extra = divmod(self.rate_bytes, 8)
-        block = struct.pack(f"<{full}Q", *self._lanes[:full])
-        if extra:
-            block += self._lanes[full].to_bytes(8, "little")[:extra]
-        return block
-
-    def squeeze(self, length: int) -> bytes:
-        """Squeeze ``length`` output bytes; may be called repeatedly."""
-        if not self._squeezing:
-            self._pad()
-            self._squeezing = True
-            self._squeeze_offset = 0
-            self._block = self._serialize_rate()
-        out = bytearray()
-        rate = self.rate_bytes
-        while len(out) < length:
-            if self._squeeze_offset == rate:
-                self._lanes = keccak_f1600(self._lanes)
-                self._block = self._serialize_rate()
-                self._squeeze_offset = 0
-            take = min(length - len(out), rate - self._squeeze_offset)
-            out.extend(self._block[self._squeeze_offset:
-                                   self._squeeze_offset + take])
-            self._squeeze_offset += take
-        return bytes(out)
-
-
-def _fixed_output_hash(data: bytes, rate_bytes: int, out_len: int) -> bytes:
-    sponge = KeccakSponge(rate_bytes, domain_suffix=0x06)
-    sponge.absorb(data)
-    return sponge.squeeze(out_len)
-
-
-def pure_sha3_256(data: bytes) -> bytes:
-    """SHA3-256 via the from-scratch sponge (32 bytes)."""
-    return _fixed_output_hash(data, rate_bytes=136, out_len=32)
-
-
-def pure_sha3_512(data: bytes) -> bytes:
-    """SHA3-512 via the from-scratch sponge (64 bytes)."""
-    return _fixed_output_hash(data, rate_bytes=72, out_len=64)
-
-
-def pure_shake128(data: bytes, out_len: int) -> bytes:
-    """SHAKE128 via the from-scratch sponge."""
-    return KeccakSponge(168, domain_suffix=0x1F).absorb(data).squeeze(out_len)
-
-
-def pure_shake256(data: bytes, out_len: int) -> bytes:
-    """SHAKE256 via the from-scratch sponge."""
-    return KeccakSponge(136, domain_suffix=0x1F).absorb(data).squeeze(out_len)
-
-
-# ---------------------------------------------------------------------------
-# Accelerated dispatch.
-#
-# The pure sponge above is the reference; the test suite proves it
-# byte-identical to CPython's C implementation of FIPS 202.  Because the
-# simulator hashes megabytes (ROM images, SM binaries, ML-DSA expansion),
-# the *public* entry points below dispatch to hashlib when it provides
-# SHA-3 — same functions, ~100x faster — and fall back to the pure sponge
-# otherwise.  Set ``ACCELERATED = False`` to force the pure path.
-
-try:
-    import hashlib as _hashlib
-    ACCELERATED = hasattr(_hashlib, "sha3_256")
-except ImportError:  # pragma: no cover - hashlib is always present
-    ACCELERATED = False
+import hashlib
 
 
 def sha3_256(data: bytes) -> bytes:
     """SHA3-256 digest of ``data`` (32 bytes)."""
-    if ACCELERATED:
-        return _hashlib.sha3_256(data).digest()
-    return pure_sha3_256(data)
+    return hashlib.sha3_256(data).digest()
 
 
 def sha3_512(data: bytes) -> bytes:
     """SHA3-512 digest of ``data`` (64 bytes)."""
-    if ACCELERATED:
-        return _hashlib.sha3_512(data).digest()
-    return pure_sha3_512(data)
+    return hashlib.sha3_512(data).digest()
 
 
 def shake128(data: bytes, out_len: int) -> bytes:
     """SHAKE128 extendable-output function."""
-    if ACCELERATED:
-        return _hashlib.shake_128(data).digest(out_len)
-    return pure_shake128(data, out_len)
+    return hashlib.shake_128(data).digest(out_len)
 
 
 def shake256(data: bytes, out_len: int) -> bytes:
     """SHAKE256 extendable-output function."""
-    if ACCELERATED:
-        return _hashlib.shake_256(data).digest(out_len)
-    return pure_shake256(data, out_len)
-
-
-def pure_sha3_256_many(messages) -> list:
-    """SHA3-256 of a (possibly ragged) batch via the bucketed sponge."""
-    return _sponge_many(messages, 136, 0x06, 32)
-
-
-def pure_sha3_512_many(messages) -> list:
-    """SHA3-512 of a (possibly ragged) batch via the bucketed sponge."""
-    return _sponge_many(messages, 72, 0x06, 64)
-
-
-def pure_shake128_many(messages, out_len: int) -> list:
-    """SHAKE128 of a (possibly ragged) batch via the bucketed sponge."""
-    return _sponge_many(messages, 168, 0x1F, out_len)
-
-
-def pure_shake256_many(messages, out_len: int) -> list:
-    """SHAKE256 of a (possibly ragged) batch via the bucketed sponge."""
-    return _sponge_many(messages, 136, 0x1F, out_len)
-
-
-def sha3_256_many(messages) -> list:
-    """SHA3-256 digests of a message batch (lengths may differ)."""
-    if ACCELERATED:
-        return [_hashlib.sha3_256(m).digest() for m in messages]
-    return pure_sha3_256_many(messages)
-
-
-def sha3_512_many(messages) -> list:
-    """SHA3-512 digests of a message batch (lengths may differ)."""
-    if ACCELERATED:
-        return [_hashlib.sha3_512(m).digest() for m in messages]
-    return pure_sha3_512_many(messages)
-
-
-def shake128_many(messages, out_len: int) -> list:
-    """SHAKE128 outputs of a message batch (lengths may differ)."""
-    if ACCELERATED:
-        return [_hashlib.shake_128(m).digest(out_len) for m in messages]
-    return pure_shake128_many(messages, out_len)
-
-
-def shake256_many(messages, out_len: int) -> list:
-    """SHAKE256 outputs of a message batch (lengths may differ)."""
-    if ACCELERATED:
-        return [_hashlib.shake_256(m).digest(out_len) for m in messages]
-    return pure_shake256_many(messages, out_len)
+    return hashlib.shake_256(data).digest(out_len)
 
 
 class _IncrementalXof:
-    """Absorb-then-stream XOF with the same backend dispatch."""
+    """Absorb-then-stream XOF over a ``hashlib`` SHAKE object.
 
-    _RATE = None
+    ``hashlib`` SHAKE objects only produce a prefix of the output
+    stream, so each :meth:`read` asks for the stream up to the new end
+    offset and returns the slice past the previous one.
+    """
+
     _HASHLIB_NAME = None
 
     def __init__(self, data: bytes = b""):
-        if ACCELERATED:
-            self._state = _hashlib.new(self._HASHLIB_NAME)
-            self._offset = 0
-            self._reading = False
-        else:
-            self._state = KeccakSponge(self._RATE, domain_suffix=0x1F)
-        if data:
-            self.absorb(data)
+        self._state = hashlib.new(self._HASHLIB_NAME, data)
+        self._offset = 0
+        self._reading = False
 
     def absorb(self, data: bytes):
-        if ACCELERATED:
-            if self._reading:
-                raise RuntimeError("cannot absorb after squeezing")
-            self._state.update(data)
-        else:
-            self._state.absorb(data)
+        if self._reading:
+            raise RuntimeError("cannot absorb after squeezing")
+        self._state.update(data)
         return self
 
     def read(self, length: int) -> bytes:
-        if ACCELERATED:
-            self._reading = True
-            end = self._offset + length
-            out = self._state.digest(end)[self._offset:end]
-            self._offset = end
-            return out
-        return self._state.squeeze(length)
+        self._reading = True
+        end = self._offset + length
+        out = self._state.digest(end)[self._offset:end]
+        self._offset = end
+        return out
 
 
 class Shake128(_IncrementalXof):
     """Incremental SHAKE128 (absorb-then-stream)."""
 
-    _RATE = 168
     _HASHLIB_NAME = "shake_128"
 
 
 class Shake256(_IncrementalXof):
     """Incremental SHAKE256 (absorb-then-stream)."""
 
-    _RATE = 136
     _HASHLIB_NAME = "shake_256"

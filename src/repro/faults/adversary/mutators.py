@@ -21,10 +21,11 @@ from nothing but an integer seed:
   (:func:`ops_to_json` / :func:`ops_from_json`) and replays the exact
   run that earned it a corpus slot.
 
-Hashing here uses :mod:`hashlib` directly (not the instrumented
-``repro.crypto`` wrappers): seed derivation and golden digests are
-harness bookkeeping, and keeping them counter-free means a run's
-PERF-vector signature reflects only the stack under attack.
+Hashing here uses :mod:`hashlib` directly; :mod:`repro.crypto.keccak`
+wraps the same functions and ticks no PERF counters, so seed
+derivation and golden digests (harness bookkeeping) stay counter-free
+and a run's PERF-vector signature reflects only the stack under
+attack.
 """
 
 from __future__ import annotations

@@ -20,10 +20,9 @@ plane with the same discipline as the rest of :mod:`repro.obs`:
   its predecessor via SHA3-256 over ``prev || canonical(body)``; the
   chain starts at the header, so a single flipped bit anywhere —
   header, body, link, or signature — breaks verification.  The chain
-  hash is computed with :mod:`hashlib`'s Keccak rather than the
-  instrumented :mod:`repro.crypto.keccak` wrappers: the audit plane
-  must not perturb the architectural PERF counters it is observing
-  (the same rule the adversary harness digests follow).
+  hash calls :mod:`hashlib` directly; :mod:`repro.crypto.keccak` wraps
+  the same functions and ticks no PERF counters either, so the audit
+  plane leaves the architectural counters it observes untouched.
 * **Ed25519 checkpoints** — every ``checkpoint_every`` events (and
   always at export) the current head is signed with a PR 5 cached
   :class:`~repro.crypto.ed25519.SigningKey` context.  PERF/telemetry

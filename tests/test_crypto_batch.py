@@ -2,11 +2,11 @@
 
 Every batch API added for serving-scale throughput — ML-DSA
 ``sign_many``/``verify_many``, Ed25519 random-linear-combination batch
-verification, multi-input Keccak absorption, vectorized CIM trace
-synthesis and the TEE consumers threading them — is pinned here against
-a per-call scalar loop: byte-identical outputs (signatures, digests,
-toggle counts, reports) or boolean-identical verdicts, across all three
-ML-DSA parameter sets, ragged batch sizes and injected-invalid lanes.
+verification, vectorized CIM trace synthesis and the TEE consumers
+threading them — is pinned here against a per-call scalar loop:
+byte-identical outputs (signatures, toggle counts, reports) or
+boolean-identical verdicts, across all three ML-DSA parameter sets,
+ragged batch sizes and injected-invalid lanes.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.cim.power import PowerModel
 from repro.cim.tvla import assess_macro, welch_t
 from repro.crypto import ed25519 as ed
 from repro.crypto import hybrid
-from repro.crypto import keccak as kc
 from repro.crypto.mldsa import ML_DSA_44, ML_DSA_65, ML_DSA_87, MLDSA
 from repro.obs.exposition import parse_exposition, render
 from repro.obs.perf import counting
@@ -279,66 +278,6 @@ class TestEd25519Msm:
         with counting() as window:
             assert ed.verify_batch(ed_batch[:8]) == [True] * 8
         assert "crypto.ed25519.msm_points" not in window.delta()
-
-
-class TestKeccakBatch:
-
-    @pytest.mark.parametrize("length", [0, 1, 135, 136, 137, 300])
-    def test_multi_input_parity(self, length):
-        rng = np.random.default_rng(length)
-        msgs = [rng.integers(0, 256, size=length,
-                             dtype=np.uint8).tobytes() for _ in range(5)]
-        assert kc.pure_sha3_256_many(msgs) == \
-            [kc.pure_sha3_256(m) for m in msgs]
-        assert kc.pure_sha3_512_many(msgs) == \
-            [kc.pure_sha3_512(m) for m in msgs]
-        for out_len in (1, 137, 300):
-            assert kc.pure_shake128_many(msgs, out_len) == \
-                [kc.pure_shake128(m, out_len) for m in msgs]
-            assert kc.pure_shake256_many(msgs, out_len) == \
-                [kc.pure_shake256(m, out_len) for m in msgs]
-        assert kc.sha3_256_many(msgs) == [kc.sha3_256(m) for m in msgs]
-        assert kc.sha3_512_many(msgs) == [kc.sha3_512(m) for m in msgs]
-        assert kc.shake128_many(msgs, 64) == \
-            [kc.shake128(m, 64) for m in msgs]
-        assert kc.shake256_many(msgs, 64) == \
-            [kc.shake256(m, 64) for m in msgs]
-
-    def test_vectorized_permutation_matches_reference(self):
-        rng = np.random.default_rng(7)
-        states = rng.integers(0, 2**64, size=(6, 25), dtype=np.uint64)
-        out = kc.keccak_f1600_many(states)
-        for row in range(6):
-            assert out[row].tolist() == kc.keccak_f1600_reference(
-                [int(lane) for lane in states[row]])
-
-    def test_ragged_batch_parity(self):
-        # Mixed lengths bucket by padded block count; results and the
-        # permutation counter match the scalar loop exactly.
-        msgs = [b"a", b"bb" * 100, b"", b"x" * 136, b"y" * 135,
-                b"z" * 137, b"w" * 500]
-        assert kc.sha3_256_many(msgs) == [kc.sha3_256(m) for m in msgs]
-        assert kc.pure_shake256_many(msgs, 32) == \
-            [kc.pure_shake256(m, 32) for m in msgs]
-        with counting() as window:
-            kc.pure_sha3_512_many(msgs)
-        rate = 72  # sha3-512 rate bytes
-        expected = sum(len(m) // rate + 1 for m in msgs)
-        assert window.delta()["crypto.keccak.permutations"] == expected
-
-    def test_empty_batch(self):
-        assert kc.pure_sha3_256_many([]) == []
-        assert kc.sha3_256_many([]) == []
-
-    def test_permutation_counter_parity(self):
-        msgs = [bytes([i]) * 200 for i in range(4)]
-        with counting() as window:
-            kc.pure_shake256_many(msgs, 300)
-        batch = window.delta()["crypto.keccak.permutations"]
-        with counting() as window:
-            for m in msgs:
-                kc.pure_shake256(m, 300)
-        assert batch == window.delta()["crypto.keccak.permutations"]
 
 
 def _cim_macros(weights):

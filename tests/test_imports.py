@@ -1,8 +1,10 @@
 """Smoke tests: every ``repro.*`` (sub)module imports cleanly and the
 package-level docstring examples actually run (ISSUE 1 satellite)."""
 
+import ast
 import doctest
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -52,3 +54,25 @@ def test_obs_quick_use_doctest_style():
     (record,) = telemetry.tracer.snapshot()
     assert record["name"] == "my.phase"
     assert telemetry.metrics_snapshot()["my.items"]["value"] == 1
+
+
+def _imported_roots(path: pathlib.Path) -> set:
+    """Top-level package names of the absolute imports in one file."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_production_never_imports_test_oracles():
+    """Test oracles (``tests/reference``) stay out of production: no
+    module under ``src/repro`` may import ``tests`` or ``reference``."""
+    package_dir = pathlib.Path(repro.__file__).parent
+    offenders = sorted(
+        f"{path.relative_to(package_dir)}: {root}"
+        for path in package_dir.rglob("*.py")
+        for root in _imported_roots(path) & {"tests", "reference"})
+    assert offenders == []
