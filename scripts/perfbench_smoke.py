@@ -3,11 +3,12 @@
 
     python scripts/perfbench_smoke.py [--seed 1] [--seconds 4]
 
-Runs ``perfbench/run.py --trace 1`` on the ``reattest`` and
-``adversarial`` workloads and exits 1 unless each run's last output
-line (one JSON object) reports ``"correct": true``, and ``reattest``
-also ``"failed": 0``.  ``run.py`` exits 0 whatever it measured, so the
-verdict is read from that line.
+Runs ``perfbench/run.py --trace 1`` on every workload and exits 1
+unless each run's last output line (one JSON object) reports
+``"correct": true`` and ``"failed": 0``: every lane, the hostile lanes of
+``adversarial`` included, got the verdict the scalar verifier gives.
+``run.py`` exits 0 whatever it measured, so the verdict is read from
+that line.
 """
 
 import argparse
@@ -18,13 +19,10 @@ import sys
 
 RUN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
-#: Workload -> whether every lane must match its expected verdict
-#: (``adversarial`` keeps the known torsion-pair failures).
-WORKLOADS = {"reattest": True, "adversarial": False}
+WORKLOADS = ("fresh", "reattest", "adversarial")
 
 
-def check(workload: str, seed: int, seconds: float,
-          zero_failed: bool) -> list:
+def check(workload: str, seed: int, seconds: float) -> list:
     """Problems with one run; empty when it passes."""
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload,
@@ -41,7 +39,7 @@ def check(workload: str, seed: int, seconds: float,
     problems = []
     if verdict.get("correct") is not True:
         problems.append(f"{workload}: correct is not true")
-    if zero_failed and verdict.get("failed") != 0:
+    if verdict.get("failed") != 0:
         problems.append(f"{workload}: failed = {verdict.get('failed')}")
     return problems
 
@@ -52,8 +50,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=4.0)
     args = parser.parse_args(argv)
     problems = []
-    for workload, zero_failed in WORKLOADS.items():
-        problems += check(workload, args.seed, args.seconds, zero_failed)
+    for workload in WORKLOADS:
+        problems += check(workload, args.seed, args.seconds)
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     return 1 if problems else 0

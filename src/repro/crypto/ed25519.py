@@ -25,6 +25,12 @@ double-and-add reference by hypothesis property tests):
   and skips the ``T`` product when the next operation is another
   doubling.
 
+Every verification path (scalar, batch, reference) applies the same
+cofactored rule, ``[8](s*B - R - k*A) == 0`` (ZIP-215), and rejects a
+small-order public key, so a signer who adds a small-torsion point to
+``R`` or uses a mixed-order key gets the same verdict whichever path
+checks the signature and whatever else shares its batch.
+
 :class:`SigningKey` caches the expensive per-secret state (clamped
 scalar, prefix, compressed public key) so repeated signatures — the SM
 re-attesting, the bootrom re-certifying — skip the key-derivation
@@ -594,9 +600,9 @@ def _batch_coefficients(lanes) -> list:
 
     Deterministic derivation keeps campaign replays byte-stable (no
     process randomness) while remaining unpredictable to anyone who
-    cannot already choose the full batch; forcing each coefficient odd
-    makes it a unit mod 8, so a single lane whose defect is a small-
-    torsion point can never be annihilated by its own coefficient.
+    cannot already choose the full batch.  The low bit is forced to 1;
+    the cofactored combined check multiplies every small-torsion defect
+    away, so parity plays no part in soundness.
     """
     hasher_input = [_BATCH_DOMAIN, len(lanes).to_bytes(4, "little")]
     for _i, public, message, signature in lanes:
@@ -614,14 +620,18 @@ def verify_batch(items) -> list:
     entry *i* of the result equals ``verify(*items[i])``.  Structurally
     invalid lanes (bad lengths, invalid encodings, ``s >= L``) are
     rejected up front; the remaining lanes are checked as one combined
-    equation ``sum(z_i * (s_i*B - R_i - k_i*A_i)) == identity`` over a
-    single shared doubling chain — ~4x fewer point operations per lane
-    than the per-signature Straus chain.  If the combined check fails,
-    every lane is re-verified individually, which localizes the
-    offending signature(s) exactly (the attestation-service triage
-    path).  PERF: lanes entering the combined check tick
-    ``crypto.ed25519.batch_verifies``; fallback re-verifies tick the
-    scalar ``crypto.ed25519.verify`` as usual.
+    cofactored equation ``[8]·sum(z_i * (s_i*B - R_i - k_i*A_i)) ==
+    identity`` over a single shared doubling chain, with the ``A`` terms
+    of lanes that share a key merged into one.  Both :func:`verify` and
+    this check use the cofactored rule (ZIP-215; Chalkias et al.,
+    "Taming the Many EdDSAs"), the rule under which batching is sound:
+    a small-torsion component in ``R`` or ``A`` cannot make the batch
+    accept what the scalar check rejects, or the reverse.  If the
+    combined check fails, every lane is re-verified individually, which
+    localizes the offending signature(s) exactly (the
+    attestation-service triage path).  PERF: lanes entering the combined
+    check tick ``crypto.ed25519.batch_verifies``; fallback re-verifies
+    tick the scalar ``crypto.ed25519.verify`` as usual.
 
     Edge cases short-circuit before any batch machinery: an empty batch
     returns ``[]`` without even allocating a TELEMETRY span (the
@@ -650,8 +660,8 @@ def _verify_batch(items) -> list:
         if len(public) != PUBLIC_KEY_LEN \
                 or len(signature) != SIGNATURE_LEN:
             continue
-        neg_a = _batch_verify_point(public)
-        if neg_a is None:
+        key = _verify_key(public)
+        if key is None:
             continue
         if int.from_bytes(signature[32:], "little") >= L:
             continue
@@ -663,42 +673,39 @@ def _verify_batch(items) -> list:
             continue
         lanes.append((i, bytes(public), bytes(message),
                       bytes(signature)))
-        points.append((neg_a, r_point))
+        points.append((key, r_point))
     if not lanes:
         return results
     if PERF.enabled:
         PERF.inc("crypto.ed25519.batch_verifies", len(lanes))
     coefficients = _batch_coefficients(lanes)
     use_msm = len(lanes) >= _MSM_LANES
-    # Batch-local A-table sharing (Straus path): duplicate public keys
-    # in one batch — the common service shape, many reports from few
-    # devices — build their wNAF table exactly once even when the
-    # global memo is cold or thrashing.
-    a_tables = {} if not use_msm else None
+    # Lanes that share a public key share one -A term: the scalar
+    # sum(z_i * k_i) times -A is the same group element as the per-lane
+    # terms, so a batch of n lanes from d keys needs n + d points.
     s_combined = 0
     pairs = []
-    for (i, public, message, signature), (neg_a, r_point), z in \
+    key_scalars = {}
+    for (_i, public, message, signature), (key, r_point), z in \
             zip(lanes, points, coefficients):
-        s_combined = (s_combined + z * int.from_bytes(
-            signature[32:], "little")) % L
+        s_combined += z * int.from_bytes(signature[32:], "little")
         k = int.from_bytes(_sha512(signature[:32] + public + message),
-                           "little") % L
-        if use_msm:
-            pairs.append((z, _point_negate(r_point)))
-            pairs.append((z * k % L, neg_a))
-        else:
-            table = a_tables.get(public)
-            if table is None:
-                table = _batch_verify_table(public)
-                a_tables[public] = table
-            pairs.append((z, _WNAF_POINT,
-                          _point_table(_point_negate(r_point))))
-            pairs.append((z * k % L, _WNAF_BATCH, table))
+                           "little")
+        key_scalars[key] = key_scalars.get(key, 0) + z * k
+        neg_r = _point_negate(r_point)
+        pairs.append((z, neg_r) if use_msm else
+                     (z, _WNAF_POINT, _point_table(neg_r)))
+    for key, scalar in key_scalars.items():
+        pairs.append((scalar % L, key.neg_a) if use_msm else
+                     (scalar % L, _WNAF_BATCH, key.table(_WNAF_BATCH)))
+    s_combined %= L
     if use_msm:
         combined = _multi_scalar_mul_pippenger(s_combined, pairs)
     else:
         combined = _multi_scalar_mul(s_combined, pairs)
-    if _point_equal(combined, _IDENTITY):
+    # Cofactored, like the scalar check: torsion components of R or A
+    # cannot cancel across lanes, so batch and scalar verdicts agree.
+    if _is_small_order(combined):
         for i, _public, _message, _signature in lanes:
             results[i] = True
         return results
@@ -707,12 +714,32 @@ def _verify_batch(items) -> list:
     return results
 
 
-#: Per-public-key verification state: the wNAF odd-multiple tables of
-#: ``-A`` and the bare point.  Attestation verifies the same handful of
-#: device / SM keys thousands of times, so the decompression square root
-#: and the table builds are paid once per key.  ``None`` caches an
-#: invalid encoding.  Builds are uncounted precomputation, so entries
-#: record an empty PERF delta.  Keys are normalized to ``bytes``.
+class _VerifyKey:
+    """Verification state of one public key: ``-A`` (extended
+    coordinates, ``Z=1``) and its cached-form wNAF odd-multiple tables,
+    each built on first use.  The scalar chain reads the width-5 table,
+    the Straus batch chain the width-6 one, and the Pippenger MSM the
+    bare point, so a key that only ever meets one path pays for one
+    table."""
+
+    __slots__ = ("neg_a", "_tables")
+
+    def __init__(self, neg_a):
+        self.neg_a = neg_a
+        self._tables = {}
+
+    def table(self, width: int) -> list:
+        table = self._tables.get(width)
+        if table is None:
+            table = self._tables[width] = _point_table(self.neg_a, width)
+        return table
+
+
+#: One :class:`_VerifyKey` per public key.  Attestation verifies the same
+#: handful of device / SM keys thousands of times, so the decompression
+#: square root and the table builds are paid once per key.  ``None``
+#: caches an invalid encoding.  Builds are uncounted precomputation, so
+#: entries record an empty PERF delta.  Keys are normalized to ``bytes``.
 _VERIFY_MEMO = Memo(maxsize=256)
 
 
@@ -724,38 +751,29 @@ def _negated_point(public: bytes):
         return None
 
 
-def _table_or_none(neg_a, width: int):
-    return None if neg_a is None else _point_table(neg_a, width)
+def _verify_key(public: bytes):
+    """The memoized :class:`_VerifyKey` of a compressed public key;
+    ``None`` when the encoding is invalid or the point has small order.
 
-
-def _verify_table(public: bytes):
-    """Memoized cached-form odd multiples of ``-A`` for a compressed
-    public key; ``None`` when the encoding is invalid."""
+    A small-order key is rejected on every path: ``[8]·k·A`` vanishes
+    for it, so under the cofactored rule ``R = s*B`` would verify for
+    any message."""
     public = bytes(public)
-    return _VERIFY_MEMO.get_or_build(public, lambda: _table_or_none(
-        _negated_point(public), _WNAF_POINT))
+
+    def build():
+        neg_a = _negated_point(public)
+        if neg_a is None or _is_small_order(neg_a):
+            return None
+        return _VerifyKey(neg_a)
+    return _VERIFY_MEMO.get_or_build(public, build)
 
 
-def _batch_verify_point(public: bytes):
-    """Memoized decompressed ``-A`` (extended coordinates, ``Z=1``) for
-    a compressed public key; ``None`` when the encoding is invalid.
-
-    The MSM batch path consumes the bare point — Pippenger needs no
-    per-point table — while the Straus path derives its width-6 table
-    from it (:func:`_batch_verify_table`), so the decompression square
-    root is paid once per key either way."""
-    public = bytes(public)
-    return _VERIFY_MEMO.get_or_build((b"point", public),
-                                     lambda: _negated_point(public))
-
-
-def _batch_verify_table(public: bytes):
-    """Like :func:`_verify_table` but width-:data:`_WNAF_BATCH`, for the
-    long combined scalars of the batch-verify chain."""
-    public = bytes(public)
-    return _VERIFY_MEMO.get_or_build(
-        (b"batch", public),
-        lambda: _table_or_none(_batch_verify_point(public), _WNAF_BATCH))
+def _is_small_order(point) -> bool:
+    """``[8]·point`` is the identity: the cofactored acceptance test."""
+    for _ in range(3):
+        point = _point_double(point, need_t=False)
+    x, y, z, _ = point
+    return x % P == 0 and (y - z) % P == 0
 
 
 def _compress(point) -> bytes:
@@ -870,36 +888,46 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
 def _verify(public: bytes, message: bytes, signature: bytes) -> bool:
     if len(public) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
-    neg_a_table = _verify_table(public)
-    if neg_a_table is None:
+    key = _verify_key(public)
+    if key is None:
         return False
     s = int.from_bytes(signature[32:], "little")
     if s >= L:
         return False
     k = int.from_bytes(_sha512(signature[:32] + public + message),
                        "little") % L
-    # s*B == R + k*A  <=>  s*B - k*A == R.  Comparing the *canonical*
-    # compression of the left side against the R bytes is equivalent to
-    # decompress-and-compare: compression never produces a non-canonical
-    # or invalid encoding, so every R the reference rejects mismatches
-    # here too — and it saves R's square-root recovery.
-    q = _double_scalar_mul(s, k, None, point_table=neg_a_table)
-    return _compress(q) == signature[:32]
+    q = _double_scalar_mul(s, k, None,
+                           point_table=key.table(_WNAF_POINT))
+    # Fast accept: s*B - k*A == R exactly when its canonical compression
+    # equals the R bytes (compression never produces a non-canonical or
+    # invalid encoding).  Otherwise the cofactored rule decides:
+    # accept iff R decodes and [8](s*B - k*A - R) is the identity.
+    if _compress(q) == signature[:32]:
+        return True
+    try:
+        r_point = _decompress(signature[:32])
+    except ValueError:
+        return False
+    return _is_small_order(_point_add(q, _point_negate(r_point)))
 
 
 def verify_reference(public: bytes, message: bytes,
                      signature: bytes) -> bool:
-    """The pre-fast-path verification flow, kept verbatim: decompress
-    both points and check ``s*B == R + k*A`` with two double-and-add
-    :func:`_point_mul` chains.  The windowed :func:`verify` is pinned
-    equivalent to this path by the parity suite, and the crypto bench
-    gates the fast path's speedup against it."""
+    """The pre-fast-path verification flow: decompress both points,
+    reject a small-order ``A`` and check the cofactored equation
+    ``[8](s*B - R - k*A) == 0`` with double-and-add :func:`_point_mul`
+    chains.  The windowed
+    :func:`verify` is pinned equivalent to this path by the parity
+    suite, and the crypto bench gates the fast path's speedup against
+    it."""
     if len(public) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
     try:
         a = _decompress(public)
         r = _decompress(signature[:32])
     except ValueError:
+        return False
+    if _point_equal(_point_mul(8, a), _IDENTITY):
         return False
     s = int.from_bytes(signature[32:], "little")
     if s >= L:
@@ -908,7 +936,8 @@ def verify_reference(public: bytes, message: bytes,
                        "little") % L
     sb = _point_mul(s, BASE_POINT)
     ka = _point_mul(k, a)
-    return _point_equal(sb, _point_add(r, ka))
+    defect = _point_add(sb, _point_negate(_point_add(r, ka)))
+    return _point_equal(_point_mul(8, defect), _IDENTITY)
 
 
 class Ed25519KeyPair:

@@ -39,14 +39,19 @@ class _IncrementalXof:
     """Absorb-then-stream XOF over a ``hashlib`` SHAKE object.
 
     ``hashlib`` SHAKE objects only produce a prefix of the output
-    stream, so each :meth:`read` asks for the stream up to the new end
-    offset and returns the slice past the previous one.
+    stream, so the first :meth:`read` squeezes one rate block ahead into
+    a buffer and later reads are served from it; a read past the end
+    re-squeezes a prefix of at least twice the length.  Byte-at-a-time
+    readers (SampleInBall) thus cost one ``digest()`` per challenge
+    instead of one per byte.
     """
 
     _HASHLIB_NAME = None
+    _RATE = None
 
     def __init__(self, data: bytes = b""):
         self._state = hashlib.new(self._HASHLIB_NAME, data)
+        self._buffer = b""
         self._offset = 0
         self._reading = False
 
@@ -59,7 +64,12 @@ class _IncrementalXof:
     def read(self, length: int) -> bytes:
         self._reading = True
         end = self._offset + length
-        out = self._state.digest(end)[self._offset:end]
+        if end > len(self._buffer):
+            size = max(self._RATE, 2 * len(self._buffer))
+            while size < end:
+                size *= 2
+            self._buffer = self._state.digest(size)
+        out = self._buffer[self._offset:end]
         self._offset = end
         return out
 
@@ -68,9 +78,11 @@ class Shake128(_IncrementalXof):
     """Incremental SHAKE128 (absorb-then-stream)."""
 
     _HASHLIB_NAME = "shake_128"
+    _RATE = 168
 
 
 class Shake256(_IncrementalXof):
     """Incremental SHAKE256 (absorb-then-stream)."""
 
     _HASHLIB_NAME = "shake_256"
+    _RATE = 136

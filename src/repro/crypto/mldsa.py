@@ -21,13 +21,13 @@ Two practical observations from the paper are modelled faithfully:
 The signing/verification hot loops run on exact int64 numpy kernels
 (batched NTTs, pointwise products and decompositions mod q); every
 intermediate fits in 64 bits, so they are bit-identical to the scalar
-loop forms retained as :func:`ntt_reference` / :meth:`MLDSA.sign_reference`
-/ :meth:`MLDSA.verify_reference` and pinned by the parity suite in
-``tests/test_crypto_fastpaths.py``.
+loop forms kept as test oracles in ``tests/reference/mldsa.py`` and
+pinned by the parity suite in ``tests/test_crypto_fastpaths.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -97,49 +97,6 @@ _NTT_LAYERS = _butterfly_layers(inverse=False)
 _INTT_LAYERS = _butterfly_layers(inverse=True)
 
 
-def ntt_reference(coeffs: list) -> list:
-    """Forward NTT, fully reduced at every butterfly.
-
-    The schoolbook FIPS 204 transform the lazy-reduction fast path is
-    pinned against by the parity suite.
-    """
-    a = list(coeffs)
-    k = 0
-    length = 128
-    while length >= 1:
-        start = 0
-        while start < N:
-            k += 1
-            zeta = ZETAS[k]
-            for j in range(start, start + length):
-                t = zeta * a[j + length] % Q
-                a[j + length] = (a[j] - t) % Q
-                a[j] = (a[j] + t) % Q
-            start += 2 * length
-        length //= 2
-    return a
-
-
-def intt_reference(coeffs: list) -> list:
-    """Inverse NTT, fully reduced at every butterfly (see
-    :func:`ntt_reference`)."""
-    a = list(coeffs)
-    k = N
-    length = 1
-    while length < N:
-        start = 0
-        while start < N:
-            k -= 1
-            neg_zeta = Q - ZETAS[k]
-            for j in range(start, start + length):
-                t = a[j]
-                a[j] = (t + a[j + length]) % Q
-                a[j + length] = (t - a[j + length]) * neg_zeta % Q
-            start += 2 * length
-        length *= 2
-    return [x * _INV_256 % Q for x in a]
-
-
 def _ntt_raw(coeffs: list) -> list:
     """Lazy-reduction forward NTT (uncounted core).
 
@@ -148,7 +105,8 @@ def _ntt_raw(coeffs: list) -> list:
     ``9q``, far below anything Python's bignums care about) and one
     final pass normalizes into [0, q).  Butterfly indices and twiddles
     come from the precomputed :data:`_NTT_LAYERS` schedule.
-    Bit-identical to :func:`ntt_reference`.
+    Bit-identical to the fully reduced schoolbook transform in
+    ``tests/reference/mldsa.py``.
     """
     a = list(coeffs)
     for pairs in _NTT_LAYERS:
@@ -165,9 +123,9 @@ def _intt_raw(coeffs: list) -> list:
 
     Accepts *unreduced* coefficient sums (the matrix rows accumulate
     ``l`` coefficient products without intermediate reduction); sums
-    double per layer but stay small integers.  Bit-identical to
-    :func:`intt_reference` on reduced input, and congruent mod q on
-    unreduced input.
+    double per layer but stay small integers.  Bit-identical to the
+    reference inverse transform on reduced input, and congruent mod q
+    on unreduced input.
     """
     a = list(coeffs)
     for pairs in _INTT_LAYERS:
@@ -327,18 +285,21 @@ def _ntt_np(arr: np.ndarray) -> np.ndarray:
     Lazy reduction, like the scalar :func:`_ntt_raw`: only the twiddle
     product is reduced per layer, sums and differences stay unreduced
     (bounded by 9q, products by 9q^2 < 2^50 — exact in int64) and one
-    final pass normalizes into [0, q).
+    final pass normalizes into [0, q).  Butterflies update one copy of
+    the input in place, so a layer allocates one half-size temporary.
     """
     out = arr % Q
     rows = out.shape[0]
     for length, zetas in _NP_NTT_LAYERS:
         v = out.reshape(rows, -1, 2, length)
         lo = v[:, :, 0, :]
-        t = v[:, :, 1, :] * zetas % Q
-        total = lo + t
-        v[:, :, 1, :] = lo - t
-        v[:, :, 0, :] = total
-    return out % Q
+        hi = v[:, :, 1, :]
+        t = hi * zetas
+        t %= Q
+        np.subtract(lo, t, out=hi)
+        lo += t
+    out %= Q
+    return out
 
 
 def _intt_np(arr: np.ndarray) -> np.ndarray:
@@ -348,7 +309,8 @@ def _intt_np(arr: np.ndarray) -> np.ndarray:
     Lazy reduction, like the scalar :func:`_intt_raw`: sums double per
     layer (bounded by 256q after eight layers, twiddle products by
     512q^2 < 2^56 — exact in int64), with one reduction per layer on
-    the twiddled half and a final normalization.
+    the twiddled half and a final normalization, in place on one copy
+    of the input.
     """
     out = arr % Q
     rows = out.shape[0]
@@ -356,11 +318,13 @@ def _intt_np(arr: np.ndarray) -> np.ndarray:
         v = out.reshape(rows, -1, 2, length)
         lo = v[:, :, 0, :]
         hi = v[:, :, 1, :]
-        total = lo + hi
-        diff = (lo - hi) * zetas % Q
-        v[:, :, 0, :] = total
-        v[:, :, 1, :] = diff
-    return out * _INV_256 % Q
+        diff = lo - hi
+        lo += hi
+        diff *= zetas
+        np.remainder(diff, Q, out=hi)
+    out *= _INV_256
+    out %= Q
+    return out
 
 
 def _ntt_batch(arr: np.ndarray) -> np.ndarray:
@@ -380,10 +344,13 @@ def _intt_batch(arr: np.ndarray) -> np.ndarray:
 def _high_bits_np(arr: np.ndarray, gamma2: int) -> np.ndarray:
     """Vectorized :func:`high_bits` (input reduced mod q)."""
     g = 2 * gamma2
-    r0 = arr % g
-    r0 = np.where(r0 > gamma2, r0 - g, r0)
-    hi = arr - r0
-    return np.where(hi == Q - 1, 0, hi // g)
+    hi = arr % g
+    hi[hi > gamma2] -= g
+    np.subtract(arr, hi, out=hi)
+    top = hi == Q - 1
+    hi //= g
+    hi[top] = 0
+    return hi
 
 
 def _low_bits_max_np(arr: np.ndarray, gamma2: int) -> int:
@@ -473,21 +440,49 @@ def bit_unpack(data: bytes, a: int, b: int) -> list:
     return [(b - z) % Q for z in simple_bit_unpack(data, a + b)]
 
 
-# Vectorized packing: little-endian bit order throughout FIPS 204 means
-# every pack/unpack is ``np.packbits``/``np.unpackbits`` with
-# ``bitorder="little"`` plus a fixed-width reshape.  Each polynomial
-# occupies a whole number of bytes (256 * width bits), so packing a
-# flattened multi-poly batch is byte-identical to concatenating the
-# per-poly scalar packs above — the parity suite pins both.
+# Vectorized packing.  FIPS 204 packs little-endian, so every group of
+# 8 coefficients of ``width`` bits fills exactly ``width`` bytes, and
+# coefficient ``j`` of a group sits at bit ``j * width`` of it: inside a
+# 4-byte window that starts at byte ``j * width // 8`` (widths up to
+# 25 bits).  The kernels below move whole byte windows, in uint8 and
+# uint32, rather than one int64 per bit.  Each polynomial occupies a
+# whole number of groups, so packing a flattened multi-poly batch is
+# byte-identical to concatenating the per-poly scalar packs above — the
+# parity suite pins both for every width in use.
+
+
+@functools.lru_cache(maxsize=None)
+def _group_layout(width: int) -> tuple:
+    """Byte windows of one 8-coefficient group: per coefficient the
+    window's first byte and bit shift, and per output byte the (padded
+    with 32) ``coefficient * 4 + window byte`` pieces that land in it."""
+    if not 1 <= width <= 25:
+        raise ValueError(f"bit width {width} outside 1..25")
+    starts = np.array([j * width // 8 for j in range(8)])
+    shifts = np.array([j * width % 8 for j in range(8)], dtype=np.uint32)
+    pieces = [[] for _ in range(width)]
+    for j in range(8):
+        for b in range(4):
+            if starts[j] + b < width:
+                pieces[starts[j] + b].append(4 * j + b)
+    depth = max(len(row) for row in pieces)
+    gather = np.array([row + [32] * (depth - len(row)) for row in pieces])
+    return starts[:, None] + np.arange(4), shifts, gather
 
 
 def _simple_bit_pack_np(arr: np.ndarray, width: int) -> np.ndarray:
-    """:func:`simple_bit_pack` rows of a ``(rows, n)`` int64 batch of
-    values < 2^width; returns ``(rows, n*width/8)`` uint8."""
+    """:func:`simple_bit_pack` rows of a ``(rows, n)`` batch of values
+    < 2^width; returns ``(rows, n*width/8)`` uint8."""
     rows = arr.shape[0]
-    bits = (arr[..., None] >> np.arange(width, dtype=np.int64)) & 1
-    return np.packbits(bits.astype(np.uint8).reshape(rows, -1),
-                       axis=1, bitorder="little")
+    _, shifts, gather = _group_layout(width)
+    groups = arr.astype(np.uint32).reshape(-1, 8)
+    groups <<= shifts
+    # Piece 4*j + byte is byte ``byte`` of coefficient j's window.
+    pieces = np.zeros((groups.shape[0], 33), dtype=np.uint8)
+    for byte in range(4):
+        pieces[:, byte:32:4] = groups >> (8 * byte)
+    return np.bitwise_or.reduce(pieces[:, gather], axis=2) \
+        .reshape(rows, -1)
 
 
 def _bit_pack_np(arr: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -499,11 +494,19 @@ def _bit_pack_np(arr: np.ndarray, a: int, b: int) -> np.ndarray:
 def _bit_unpack_np(data: bytes, rows: int, width: int, b: int) -> np.ndarray:
     """:func:`bit_unpack` of ``rows`` concatenated 32*width-byte blocks
     into a ``(rows, 256)`` int64 batch (coefficients mod q)."""
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
-                         bitorder="little")
-    z = bits.reshape(rows * N, width).astype(np.int64) \
-        @ (1 << np.arange(width, dtype=np.int64))
-    return (b - z.reshape(rows, N)) % Q
+    windows, shifts, _ = _group_layout(width)
+    groups = np.zeros((rows * N // 8, width + 3), dtype=np.uint8)
+    groups[:, :width] = np.frombuffer(data, dtype=np.uint8) \
+        .reshape(-1, width)
+    window = groups[:, windows]
+    words = window[:, :, 0].astype(np.uint32)
+    for byte in (1, 2, 3):
+        words |= window[:, :, byte].astype(np.uint32) << (8 * byte)
+    words >>= shifts
+    words &= (1 << width) - 1
+    out = np.subtract(b, words.reshape(rows, N), dtype=np.int64)
+    out %= Q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -681,22 +684,35 @@ def hint_bit_pack(hints: list, params: MLDSAParams) -> bytes:
     return bytes(out)
 
 
-def hint_bit_unpack(data: bytes, params: MLDSAParams):
-    """Strict inverse of :func:`hint_bit_pack`; None on malformed input."""
-    hints = [[0] * N for _ in range(params.k)]
+def _hint_positions(data, params: MLDSAParams):
+    """Flat ``r * 256 + j`` positions of the set hint bits, in encoding
+    order; None on malformed input (the :func:`hint_bit_unpack` rule:
+    per-polynomial ends never decrease or pass omega, indices strictly
+    increase within a polynomial, unused slots are zero)."""
+    positions = []
     index = 0
     for i in range(params.k):
         end = data[params.omega + i]
         if end < index or end > params.omega:
             return None
-        first = index
-        while index < end:
-            if index > first and data[index] <= data[index - 1]:
-                return None
-            hints[i][data[index]] = 1
-            index += 1
-    if any(data[i] != 0 for i in range(index, params.omega)):
+        row = bytes(data[index:end])
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return None
+        positions += [i * N + j for j in row]
+        index = end
+    if any(data[index:params.omega]):
         return None
+    return positions
+
+
+def hint_bit_unpack(data: bytes, params: MLDSAParams):
+    """Strict inverse of :func:`hint_bit_pack`; None on malformed input."""
+    positions = _hint_positions(data, params)
+    if positions is None:
+        return None
+    hints = [[0] * N for _ in range(params.k)]
+    for position in positions:
+        hints[position // N][position % N] = 1
     return hints
 
 
@@ -1051,89 +1067,106 @@ class MLDSAVerifier:
 
     def verify_many(self, messages, signatures,
                     context: bytes = b"") -> list:
-        """Check a signature batch in one vectorized pass.
-
-        Entry *i* of the result equals
-        ``self.verify(messages[i], signatures[i], context)``.  Lanes
-        rejected structurally (malformed encoding, z out of range) are
-        filtered before the transform stages, so surviving lanes stack
-        through the same NTT/matvec/decompose kernels the scalar path
-        runs — ``crypto.mldsa.ntt_calls`` totals match a per-call loop
-        exactly.
-        """
+        """Check a signature batch in one vectorized pass: entry *i*
+        equals ``self.verify(messages[i], signatures[i], context)`` (the
+        one-key case of :func:`_verify_many`)."""
         messages = list(messages)
-        signatures = list(signatures)
-        if len(messages) != len(signatures):
-            raise ValueError("messages and signatures must pair up")
-        if PERF.enabled:
-            PERF.inc("crypto.mldsa.verify", len(messages))
-            PERF.inc("crypto.mldsa.batch_verify_lanes", len(messages))
-        with TELEMETRY.span("crypto.mldsa.verify_many",
-                            batch=len(messages)), \
-                TELEMETRY.timer("crypto.mldsa.verify_seconds"):
-            return self._verify_many(messages, signatures, context)
+        return _verify_many(self.params, [self] * len(messages),
+                            messages, signatures, context)
 
-    def _verify_many(self, messages: list, signatures: list,
-                     context: bytes) -> list:
-        p = self.params
-        results = [False] * len(messages)
-        z_start = p.ctilde_bytes
-        z_end = z_start + 32 * p.z_bits * p.l
-        cand = [i for i, sig in enumerate(signatures)
-                if len(sig) == p.signature_bytes]
-        if not cand:
-            return results
-        # One unpack for every length-valid z vector, then per-lane
-        # structural checks (norm bound, hint encoding) in the same
-        # accept/reject order the scalar path decides them.
-        z_all = _bit_unpack_np(
-            b"".join(signatures[i][z_start:z_end] for i in cand),
-            len(cand) * p.l, p.z_bits, p.gamma1) \
-            .reshape(len(cand), p.l, N)
-        norms = _inf_norm_rows_np(z_all)
-        lanes = []
-        for ci, i in enumerate(cand):
-            if norms[ci] >= p.gamma1 - p.beta:
-                continue
-            hints = hint_bit_unpack(signatures[i][z_end:], p)
-            if hints is None:
-                continue
-            mu = shake256(
-                self._tr + MLDSA._format_message(messages[i], context),
-                64)
-            lanes.append((i, ci, signatures[i][:p.ctilde_bytes],
-                          hints, mu))
-        if not lanes:
-            return results
-        count = len(lanes)
-        z = z_all[np.array([lane[1] for lane in lanes])]
-        c = np.array([sample_in_ball(lane[2], p) for lane in lanes],
-                     dtype=np.int64)
-        c_hat = _ntt_batch(c)
-        z_hat = _ntt_batch(z.reshape(count * p.l, N)) \
-            .reshape(count, p.l, N)
-        # Â @ ẑ - ĉ * t̂1 per lane, unreduced (|.| < 9 * q^2 < 2^50).
-        rows = np.einsum("rsn,bsn->brn", self._a_np, z_hat) \
-            - c_hat[:, None, :] * self._t1_np[None]
-        w_approx = _intt_batch(rows.reshape(count * p.k, N)) \
-            .reshape(count, p.k, N)
-        w1 = _high_bits_np(w_approx, p.gamma2)
-        # UseHint, vectorized across every set hint bit in the batch.
-        hint_mask = np.array([lane[3] for lane in lanes], dtype=bool)
-        ais, rs, js = np.nonzero(hint_mask)
-        if ais.size:
-            vals = w_approx[ais, rs, js]
-            m = (Q - 1) // (2 * p.gamma2)
-            r1 = _high_bits_np(vals, p.gamma2)
-            r0 = _low_bits_np(vals, p.gamma2)
-            w1[ais, rs, js] = np.where(r0 > 0, (r1 + 1) % m,
-                                       (r1 - 1) % m)
-        packed = _simple_bit_pack_np(w1.reshape(count, -1), p.w1_bits)
-        for ai, (i, _ci, c_tilde, _hints, mu) in enumerate(lanes):
-            expected = shake256(mu + packed[ai].tobytes(),
-                                p.ctilde_bytes)
-            results[i] = expected == c_tilde
+
+def _verify_many(params: MLDSAParams, verifiers: list, messages: list,
+                 signatures, context: bytes) -> list:
+    """Counted, traced :func:`_verify_lanes`.  Lanes whose key did not
+    decode (``None`` verifier) are rejected uncounted, as a one-key call
+    with that key always was."""
+    signatures = list(signatures)
+    if len(messages) != len(signatures):
+        raise ValueError("messages and signatures must pair up")
+    if PERF.enabled:
+        keyed = len(verifiers) - verifiers.count(None)
+        PERF.inc("crypto.mldsa.verify", keyed)
+        PERF.inc("crypto.mldsa.batch_verify_lanes", keyed)
+    with TELEMETRY.span("crypto.mldsa.verify_many",
+                        batch=len(messages)), \
+            TELEMETRY.timer("crypto.mldsa.verify_seconds"):
+        return _verify_lanes(params, verifiers, messages, signatures,
+                             context)
+
+
+def _verify_lanes(p: MLDSAParams, verifiers: list, messages: list,
+                  signatures: list, context: bytes) -> list:
+    """The batch verification kernel: lane *i* checks ``signatures[i]``
+    over ``messages[i]`` under ``verifiers[i]``, and lanes may mix keys.
+
+    Every lane-wise stage stacks across keys: the length and z-norm
+    checks, hint decoding, SampleInBall, the forward NTTs of c and z,
+    the inverse NTT, UseHint and the w1 packing.  Only the keyed product
+    ``Â·ẑ − ĉ·t̂1`` runs once per distinct key.  Lanes rejected
+    structurally are filtered before the transforms, in the order the
+    scalar :meth:`MLDSAVerifier.verify` decides them, so
+    ``crypto.mldsa.ntt_calls`` totals match a per-call loop exactly.
+    """
+    results = [False] * len(messages)
+    z_start = p.ctilde_bytes
+    z_end = z_start + 32 * p.z_bits * p.l
+    cand = [i for i, sig in enumerate(signatures)
+            if verifiers[i] is not None and len(sig) == p.signature_bytes]
+    if not cand:
         return results
+    z_all = _bit_unpack_np(
+        b"".join(signatures[i][z_start:z_end] for i in cand),
+        len(cand) * p.l, p.z_bits, p.gamma1).reshape(len(cand), p.l, N)
+    norms = _inf_norm_rows_np(z_all)
+    lanes = []
+    for ci, i in enumerate(cand):
+        if norms[ci] >= p.gamma1 - p.beta:
+            continue
+        hints = _hint_positions(signatures[i][z_end:], p)
+        if hints is not None:
+            lanes.append((i, ci, hints))
+    if not lanes:
+        return results
+    count = len(lanes)
+    c = np.array([sample_in_ball(signatures[i][:p.ctilde_bytes], p)
+                  for i, _ci, _hints in lanes], dtype=np.int64)
+    c_hat = _ntt_batch(c)
+    z_hat = _ntt_batch(
+        z_all[[ci for _i, ci, _hints in lanes]].reshape(count * p.l, N)) \
+        .reshape(count, p.l, N)
+    # Drop each stage's inputs once used: peak memory grows with the batch.
+    del z_all, c
+    groups = {}
+    for ai, (i, _ci, _hints) in enumerate(lanes):
+        groups.setdefault(verifiers[i], []).append(ai)
+    # Â @ ẑ - ĉ * t̂1 per lane, unreduced (|.| < 9 * q^2 < 2^50).
+    rows = np.empty((count, p.k, N), dtype=np.int64)
+    for verifier, members in groups.items():
+        rows[members] = np.einsum("rsn,bsn->brn", verifier._a_np,
+                                  z_hat[members]) \
+            - c_hat[members][:, None, :] * verifier._t1_np[None]
+    w_approx = _intt_batch(rows.reshape(count * p.k, N)) \
+        .reshape(count, p.k * N)
+    del rows, z_hat, c_hat
+    w1 = _high_bits_np(w_approx, p.gamma2)
+    # UseHint, vectorized across every set hint bit in the batch.
+    ais = np.repeat(np.arange(count), [len(lane[2]) for lane in lanes])
+    if ais.size:
+        positions = np.array([position for lane in lanes
+                              for position in lane[2]], dtype=np.intp)
+        vals = w_approx[ais, positions]
+        m = (Q - 1) // (2 * p.gamma2)
+        r1 = _high_bits_np(vals, p.gamma2)
+        r0 = _low_bits_np(vals, p.gamma2)
+        w1[ais, positions] = np.where(r0 > 0, (r1 + 1) % m, (r1 - 1) % m)
+    packed = _simple_bit_pack_np(w1, p.w1_bits)
+    for ai, (i, _ci, _hints) in enumerate(lanes):
+        mu = shake256(verifiers[i]._tr
+                      + MLDSA._format_message(messages[i], context), 64)
+        c_tilde = signatures[i][:p.ctilde_bytes]
+        results[i] = shake256(mu + packed[ai].tobytes(),
+                              p.ctilde_bytes) == c_tilde
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -1268,118 +1301,35 @@ class MLDSA:
             return False
         return verifier._verify(message, signature, context)
 
-    def verify_many(self, public: bytes, messages, signatures,
+    def verify_many(self, public, messages, signatures,
                     context: bytes = b"") -> list:
-        """Batch :meth:`verify` (see
-        :meth:`MLDSAVerifier.verify_many`)."""
-        messages = list(messages)
-        try:
-            verifier = self.verifier(public)
-        except ValueError:
-            return [False] * len(messages)
-        return verifier.verify_many(messages, signatures, context)
+        """Batch :meth:`verify`: entry *i* equals ``self.verify(key_i,
+        messages[i], signatures[i], context)``.
 
-    # -- retained references -----------------------------------------------
-
-    def sign_reference(self, secret: bytes, message: bytes,
-                       context: bytes = b"") -> bytes:
-        """The pre-fast-path deterministic signing flow, kept verbatim.
-
-        Decodes the secret and transforms it for every call, runs the
-        rejection loop coefficient by coefficient and uses the loop-form
-        :func:`ntt_reference`/:func:`intt_reference` kernels.  The keyed
-        :class:`MLDSASigner` is pinned byte-identical to this path by
-        the KAT and hypothesis suites, and the crypto bench gates the
-        fast path's speedup against it.
+        ``public`` is one key for every lane (``bytes``-like) or a
+        sequence of per-lane keys.  Lanes of every key share one
+        vectorized pass (see :func:`_verify_lanes`); a key that does not
+        decode rejects only its own lanes.  One memoized
+        :class:`MLDSAVerifier` is looked up per distinct key.
         """
-        p = self.params
-        rho, key, tr, s1, s2, t0 = sk_decode(secret, p)
-        a_hat = expand_a(rho, p)
-        s1_hat = [ntt_reference(poly) for poly in s1]
-        s2_hat = [ntt_reference(poly) for poly in s2]
-        t0_hat = [ntt_reference(poly) for poly in t0]
-        mu = shake256(tr + self._format_message(message, context), 64)
-        rho_pp = shake256(key + bytes(32) + mu, 64)
-        kappa = 0
-        while True:
-            y = expand_mask(rho_pp, kappa, p)
-            kappa += p.l
-            y_hat = [ntt_reference(poly) for poly in y]
-            w = []
-            for r in range(p.k):
-                acc = [0] * N
-                for s in range(p.l):
-                    acc = poly_add(acc, ntt_mul(a_hat[r][s], y_hat[s]))
-                w.append(intt_reference(acc))
-            w1 = [[high_bits(c, p.gamma2) for c in poly] for poly in w]
-            c_tilde = shake256(mu + w1_encode(w1, p), p.ctilde_bytes)
-            c = sample_in_ball(c_tilde, p)
-            c_hat = ntt_reference(c)
-            z = [poly_add(y[s],
-                          intt_reference(ntt_mul(c_hat, s1_hat[s])))
-                 for s in range(p.l)]
-            if infinity_norm(z) >= p.gamma1 - p.beta:
-                continue
-            w_minus_cs2 = [
-                poly_sub(w[r], intt_reference(ntt_mul(c_hat, s2_hat[r])))
-                for r in range(p.k)]
-            r0_norm = max(abs(low_bits(c, p.gamma2))
-                          for poly in w_minus_cs2 for c in poly)
-            if r0_norm >= p.gamma2 - p.beta:
-                continue
-            ct0 = [intt_reference(ntt_mul(c_hat, t0_hat[r]))
-                   for r in range(p.k)]
-            if infinity_norm(ct0) >= p.gamma2:
-                continue
-            hints = []
-            ones = 0
-            for r in range(p.k):
-                poly_hint = []
-                for j in range(N):
-                    bit = make_hint((-ct0[r][j]) % Q,
-                                    (w_minus_cs2[r][j] + ct0[r][j]) % Q,
-                                    p.gamma2)
-                    poly_hint.append(bit)
-                    ones += bit
-                hints.append(poly_hint)
-            if ones > p.omega:
-                continue
-            return sig_encode(c_tilde, z, hints, p)
-
-    def verify_reference(self, public: bytes, message: bytes,
-                         signature: bytes, context: bytes = b"") -> bool:
-        """The pre-fast-path verification flow (see
-        :meth:`sign_reference`)."""
-        p = self.params
-        try:
-            rho, t1 = pk_decode(public, p)
-        except ValueError:
-            return False
-        decoded = sig_decode(signature, p)
-        if decoded is None:
-            return False
-        c_tilde, z, hints = decoded
-        if infinity_norm(z) >= p.gamma1 - p.beta:
-            return False
-        a_hat = expand_a(rho, p)
-        tr = shake256(public, 64)
-        mu = shake256(tr + self._format_message(message, context), 64)
-        c = sample_in_ball(c_tilde, p)
-        c_hat = ntt_reference(c)
-        z_hat = [ntt_reference(poly) for poly in z]
-        t1_hat = [ntt_reference([coef << D for coef in poly])
-                  for poly in t1]
-        w1_prime = []
-        for r in range(p.k):
-            acc = [0] * N
-            for s in range(p.l):
-                acc = poly_add(acc, ntt_mul(a_hat[r][s], z_hat[s]))
-            acc = poly_sub(acc, ntt_mul(c_hat, t1_hat[r]))
-            w_approx = intt_reference(acc)
-            w1_prime.append([use_hint(hints[r][j], w_approx[j], p.gamma2)
-                             for j in range(N)])
-        expected = shake256(mu + w1_encode(w1_prime, p), p.ctilde_bytes)
-        return expected == c_tilde
+        messages = list(messages)
+        if isinstance(public, (bytes, bytearray, memoryview)):
+            keys = [bytes(public)] * len(messages)
+        else:
+            keys = [bytes(key) for key in public]
+            if len(keys) != len(messages):
+                raise ValueError("one public key per message required, "
+                                 f"got {len(keys)} keys for "
+                                 f"{len(messages)} messages")
+        contexts = {}
+        for key in keys:
+            if key not in contexts:
+                try:
+                    contexts[key] = self.verifier(key)
+                except ValueError:
+                    contexts[key] = None
+        return _verify_many(self.params, [contexts[key] for key in keys],
+                            messages, signatures, context)
 
     # -- resource model ----------------------------------------------------
 

@@ -6,8 +6,8 @@ millions of edge devices.  This module is that serving tier: an
 :class:`AttestationService` that accepts attestation-report
 submissions from a registered device fleet, coalesces them in a
 deterministic micro-batching queue, and drains whole batches through
-the batch crypto kernels (grouped ML-DSA ``verify_many``, Ed25519 RLC
-``verify_batch`` with the Pippenger multi-scalar path above its
+the batch crypto kernels (cross-key ML-DSA ``verify_many``, Ed25519
+RLC ``verify_batch`` with the Pippenger multi-scalar path above its
 crossover) plus an enclave-session cache.
 
 Determinism is the design axis, same as the rest of the runtime:
@@ -104,8 +104,10 @@ class AttestationService:
     request is ``deadline_ticks`` old on the simulated clock
     (:meth:`tick`), or when :meth:`drain` flushes the tail.  Batches
     then verify via :func:`verify_reports` — one Ed25519 RLC equation
-    and per-key-grouped ML-DSA lanes per batch — with per-request
-    results returned in admission order.
+    and two stacked ML-DSA passes (device, then SM signatures) per
+    batch, whatever its key mix — with per-request results returned in
+    admission order.  Verdicts do not depend on ``max_batch`` or on
+    which requests share a batch.
     """
 
     def __init__(self, devices=None, *, max_batch: int = 64,

@@ -9,6 +9,8 @@ boolean-identical verdicts, across all three ML-DSA parameter sets,
 ragged batch sizes and injected-invalid lanes.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,107 @@ class TestMLDSABatch:
         assert verifier.verify_many(messages, signatures) == scalar
 
 
+def _cross_key_pool():
+    """Three ML-DSA-44 keys with four signed messages each."""
+    scheme = MLDSA(ML_DSA_44)
+    keys = [scheme.key_gen(bytes([0x60 + i]) * 32) for i in range(3)]
+    pool = []
+    for k, (public, secret) in enumerate(keys):
+        signer = scheme.signer(secret)
+        for j in range(4):
+            message = b"cross-key-%d-%d" % (k, j)
+            pool.append((k, message, signer.sign(message)))
+    return scheme, [public for public, _ in keys], pool
+
+
+_CROSS = _cross_key_pool()
+_Z_END = ML_DSA_44.ctilde_bytes + 32 * ML_DSA_44.z_bits * ML_DSA_44.l
+
+
+def _tamper(signature: bytes, kind: str, rand) -> bytes:
+    """One structural or cryptographic defect in a signature."""
+    def flip(lo, hi):
+        at = rand.randrange(lo, hi)
+        bit = 1 << rand.randrange(8)
+        return (signature[:at] + bytes([signature[at] ^ bit])
+                + signature[at + 1:])
+    if kind == "ctilde":
+        return flip(0, ML_DSA_44.ctilde_bytes)
+    if kind == "z":
+        return flip(ML_DSA_44.ctilde_bytes, _Z_END)
+    if kind == "hint":
+        return flip(_Z_END, len(signature))
+    if kind == "truncated":
+        return signature[:-1]
+    return signature
+
+
+class TestMLDSACrossKey:
+    """``MLDSA.verify_many`` with a per-lane key sequence: one stacked
+    pass across keys, each lane's verdict that of scalar ``verify``."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=len(_CROSS[2]) - 1),
+        st.sampled_from(["own", "own", "other", "short-key"]),
+        st.sampled_from(["none", "none", "ctilde", "z", "hint",
+                         "truncated"])), max_size=10),
+        st.randoms(use_true_random=False))
+    def test_mixed_keys_match_scalar_loop(self, lanes, rand):
+        scheme, publics, pool = _CROSS
+        keys, messages, signatures = [], [], []
+        for index, key_kind, tamper in lanes:
+            owner, message, signature = pool[index]
+            key = publics[owner]
+            if key_kind == "other":
+                key = publics[(owner + 1) % len(publics)]
+            elif key_kind == "short-key":
+                key = key[:-1]
+            keys.append(key)
+            messages.append(message)
+            signatures.append(_tamper(signature, tamper, rand))
+        scalar = [scheme.verify(k, m, s)
+                  for k, m, s in zip(keys, messages, signatures)]
+        assert scheme.verify_many(keys, messages, signatures) == scalar
+
+    def test_one_key_equals_key_sequence(self):
+        scheme, publics, pool = _CROSS
+        lanes = [lane for lane in pool if lane[0] == 1]
+        messages = [m for _, m, _ in lanes]
+        signatures = [s for _, _, s in lanes]
+        signatures[2] = _tamper(signatures[2], "ctilde", random.Random(7))
+        with counting() as window:
+            single = scheme.verify_many(publics[1], messages, signatures)
+        one = window.delta()
+        with counting() as window:
+            sequence = scheme.verify_many([publics[1]] * len(messages),
+                                          messages, signatures)
+        assert single == sequence == [True, True, False, True]
+        assert window.delta() == one
+        assert scheme.verifier(publics[1]).verify_many(
+            messages, signatures) == single
+
+    def test_bad_key_rejects_only_its_lanes(self):
+        scheme, publics, pool = _CROSS
+        (_, m0, s0), (_, m1, s1) = pool[0], pool[4]
+        keys = [publics[0], publics[1][:-3], publics[1], b""]
+        assert scheme.verify_many(keys, [m0, m1, m1, m0],
+                                  [s0, s1, s1, s0]) == \
+            [True, False, True, False]
+        with counting() as window:
+            assert scheme.verify_many(b"short", [m0], [s0]) == [False]
+        assert "crypto.mldsa.verify" not in window.delta()
+
+    def test_empty_and_mismatched_inputs(self):
+        scheme, publics, _ = _CROSS
+        assert scheme.verify_many([], [], []) == []
+        assert scheme.verify_many(publics[0], [], []) == []
+        with pytest.raises(ValueError):
+            scheme.verify_many([publics[0]], [b"a", b"b"], [b"", b""])
+        with pytest.raises(ValueError):
+            scheme.verify_many(publics[0], [b"a"], [])
+
+
 @pytest.fixture(scope="module")
 def ed_batch():
     lanes = []
@@ -225,17 +328,18 @@ class TestEd25519Batch:
         public = ed.public_key(seed)
         lanes = [(public, b"dup-%d" % i, ed.sign(seed, b"dup-%d" % i))
                  for i in range(6)]
-        # Fresh memo: the batch-local sharing, not global cache warmth,
-        # must deduplicate the table build.
+        # Fresh memo: one per-key entry and one merged -A term, not
+        # global cache warmth, must deduplicate the table build.
         monkeypatch.setattr(ed, "_VERIFY_MEMO", Memo(maxsize=256))
         calls = []
-        real_table = ed._batch_verify_table
+        real_table = ed._point_table
 
-        def counting_table(public):
-            calls.append(bytes(public))
-            return real_table(public)
+        def counting_table(point, width=ed._WNAF_POINT):
+            if width == ed._WNAF_BATCH:
+                calls.append(ed._compress(ed._point_negate(point)))
+            return real_table(point, width)
 
-        monkeypatch.setattr(ed, "_batch_verify_table", counting_table)
+        monkeypatch.setattr(ed, "_point_table", counting_table)
         with counting() as cold:
             assert ed.verify_batch(lanes) == [True] * len(lanes)
         cold_delta = cold.delta()   # snapshot before the warm rerun
@@ -418,6 +522,59 @@ class TestConsumers:
         finally:
             for enclave in enclaves:
                 sm.destroy_enclave(enclave)
+
+    def test_verify_reports_mldsa_totals_match_per_key_loop(self):
+        """Two cross-key ``verify_many`` passes leave every
+        ``crypto.mldsa.*`` counter where one call per key left it,
+        including the SM-stage short-circuit after a failed device
+        signature."""
+        platforms = [build_tee(bytes([0x70 + i]) * 32, post_quantum=True)
+                     for i in range(3)]
+        reports, identities = [], []
+        for index in (0, 1, 2, 0, 1, 0):
+            platform = platforms[index]
+            enclave = platform.sm.create_enclave(b"pin-enclave-%d" % index)
+            reports += platform.sm.attest_enclaves([enclave])
+            identities.append(platform.device.public_identity())
+        reports[1].sm_pq_signature = bytes(len(reports[1].sm_pq_signature))
+        reports[3].enclave_pq_signature = bytes(
+            len(reports[3].enclave_pq_signature))
+        scheme = MLDSA(ML_DSA_44)
+
+        def per_key_loop():
+            groups = {}
+            for i, identity in enumerate(identities):
+                groups.setdefault(identity["mldsa"], []).append(i)
+            passed = []
+            for key, members in groups.items():
+                ok = scheme.verify_many(
+                    key, [reports[i].sm_payload() for i in members],
+                    [reports[i].sm_pq_signature for i in members])
+                passed += [i for i, good in zip(members, ok) if good]
+            verdicts = [False] * len(reports)
+            groups = {}
+            for i in sorted(passed):
+                groups.setdefault(reports[i].sm_mldsa_public, []).append(i)
+            for key, members in groups.items():
+                ok = scheme.verify_many(
+                    key, [reports[i].enclave_payload() for i in members],
+                    [reports[i].enclave_pq_signature for i in members])
+                for i, good in zip(members, ok):
+                    verdicts[i] = good
+            return verdicts
+
+        def mldsa_totals(window):
+            return {k: v for k, v in window.delta().items()
+                    if k.startswith("crypto.mldsa.")}
+
+        with counting() as window:
+            batch = verify_reports(reports, identities)
+        batch_totals = mldsa_totals(window)
+        with counting() as window:
+            loop = per_key_loop()
+        assert batch == loop == [True, False, True, False, True, True]
+        assert batch_totals == mldsa_totals(window)
+        assert batch_totals["crypto.mldsa.verify"] == 6 + 5
 
     def test_hybrid_batch_parity(self):
         pair = hybrid.HybridKeyPair(b"\x01" * 32, b"\x02" * 32)

@@ -1,8 +1,9 @@
 """Parity suites pinning the crypto fast paths to retained references.
 
 Every optimized kernel in :mod:`repro.crypto` keeps its pre-optimization
-implementation in-tree (``*_reference``); these tests assert the fast
-path is byte-identical (signatures, blocks) or point-equal (curve
+implementation as a ``*_reference`` oracle (the ML-DSA ones in
+``tests/reference/mldsa.py``); these tests assert the fast path is
+byte-identical (signatures, blocks) or point-equal (curve
 arithmetic) to that reference, on fixed KATs and on
 hypothesis-generated inputs.  SHA-3/SHAKE are pinned to ``hashlib``
 here and to the from-scratch sponge in ``tests/test_keccak.py``.  The measured-boot memo in
@@ -13,9 +14,11 @@ the cache entirely.
 
 import hashlib
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import mldsa as mldsa_ref
 from repro.crypto import aes as aes_mod
 from repro.crypto import ed25519 as ed
 from repro.crypto import keccak as kc
@@ -103,12 +106,12 @@ class TestMLDSAParity:
     @settings(max_examples=30, deadline=None)
     @given(_POLY)
     def test_lazy_ntt_matches_reference(self, poly):
-        assert m.ntt(poly) == m.ntt_reference(poly)
+        assert m.ntt(poly) == mldsa_ref.ntt_reference(poly)
 
     @settings(max_examples=30, deadline=None)
     @given(_POLY)
     def test_lazy_intt_matches_reference(self, poly):
-        assert m.intt(poly) == m.intt_reference(poly)
+        assert m.intt(poly) == mldsa_ref.intt_reference(poly)
 
     @settings(max_examples=30, deadline=None)
     @given(_POLY)
@@ -124,6 +127,26 @@ class TestMLDSAParity:
             assert m._low_bits_max([poly], gamma2) == \
                 max(abs(m.low_bits(c, gamma2)) for c in poly)
 
+    @pytest.mark.parametrize("width", [3, 4, 6, 10, 13, 18, 20])
+    def test_bit_pack_kernels_match_scalar(self, width):
+        """Every width in use: eta (3, 4), w1 (6, 4), t1 (10), t0 (13)
+        and z (18, 20)."""
+        rng = np.random.default_rng(width)
+        top = (1 << width) - 1
+        rows = np.concatenate([
+            np.zeros((1, m.N), dtype=np.int64),
+            np.full((1, m.N), top, dtype=np.int64),
+            rng.integers(0, top + 1, size=(5, m.N))])
+        packed = m._simple_bit_pack_np(rows, width)
+        assert packed.dtype == np.uint8
+        assert packed.tobytes() == b"".join(
+            m.simple_bit_pack(row, top) for row in rows.tolist())
+        b = top // 2
+        data = packed.tobytes()
+        assert m._bit_unpack_np(data, len(rows), width, b).tolist() == [
+            m.bit_unpack(data[32 * width * i:32 * width * (i + 1)],
+                         top - b, b) for i in range(len(rows))]
+
     @pytest.mark.parametrize("params", [ML_DSA_44, ML_DSA_65, ML_DSA_87],
                              ids=lambda p: p.name)
     def test_context_sign_byte_identical_to_reference(self, params):
@@ -131,14 +154,14 @@ class TestMLDSAParity:
         public, secret = scheme.key_gen(bytes(32))
         message, context = b"attest me", b"ctx"
         fast = scheme.sign(secret, message, context=context)
-        reference = scheme.sign_reference(secret, message,
-                                          context=context)
+        reference = mldsa_ref.sign_reference(scheme, secret, message,
+                                             context=context)
         assert fast == reference
         assert fast == scheme.signer(secret).sign(message,
                                                   context=context)
         assert scheme.verify(public, message, fast, context=context)
-        assert scheme.verify_reference(public, message, fast,
-                                       context=context)
+        assert mldsa_ref.verify_reference(scheme, public, message, fast,
+                                          context=context)
 
     @settings(max_examples=3, deadline=None)
     @given(st.binary(max_size=48))
@@ -146,7 +169,7 @@ class TestMLDSAParity:
         scheme = MLDSA(ML_DSA_44)
         _, secret = scheme.key_gen(bytes(32))
         assert scheme.sign(secret, msg) == \
-            scheme.sign_reference(secret, msg)
+            mldsa_ref.sign_reference(scheme, secret, msg)
 
     @settings(max_examples=4, deadline=None)
     @given(st.integers(min_value=0, max_value=2420 * 8 - 1))
@@ -156,8 +179,8 @@ class TestMLDSAParity:
         signature = bytearray(scheme.sign(secret, b"attest me"))
         signature[flip // 8] ^= 1 << (flip % 8)
         assert scheme.verify(public, b"attest me", bytes(signature)) == \
-            scheme.verify_reference(public, b"attest me",
-                                    bytes(signature))
+            mldsa_ref.verify_reference(scheme, public, b"attest me",
+                                       bytes(signature))
 
 
 class TestAESParity:

@@ -115,6 +115,15 @@ class TestIncremental:
         out = b"".join(xof.read(length) for length in reads)
         assert out == hashlib.new(name, seed).digest(sum(reads))
 
+    @pytest.mark.parametrize("xof_cls,name", [(keccak.Shake128, "shake_128"),
+                                              (keccak.Shake256, "shake_256")])
+    def test_byte_reads_cross_rate_blocks(self, xof_cls, name):
+        # SampleInBall's access pattern, run past several rate blocks so
+        # the squeeze-ahead buffer grows more than once.
+        xof = xof_cls(b"ball")
+        out = xof.read(8) + b"".join(xof.read(1) for _ in range(700))
+        assert out == hashlib.new(name, b"ball").digest(708)
+
     def test_absorb_after_read_rejected(self):
         xof = keccak.Shake256(b"x")
         xof.read(1)

@@ -362,6 +362,9 @@ def _sites():
     def neg_a(public):
         return ed25519._point_negate(ed25519._decompress(public))
 
+    def key_part(part):
+        return lambda pk: part(ed25519._verify_key(pk))
+
     return [
         _Site("boot", bootrom._BOOT_MEMO, fresh_rom,
               lambda rom: rom.boot(_SM_IMAGE),
@@ -380,15 +383,19 @@ def _sites():
         _Site("mldsa.verifier", mldsa._CTX_MEMO,
               lambda: fresh_keypair()[0], scheme.verifier,
               lambda pk: MLDSAVerifier(ML_DSA_44, pk), (mldsa, "expand_a")),
+        # One entry per key holds -A and both wNAF tables; each site
+        # reads one part of it.
         _Site("ed25519.verify_table", ed25519._VERIFY_MEMO,
-              fresh_ed_public, ed25519._verify_table,
+              fresh_ed_public,
+              key_part(lambda key: key.table(ed25519._WNAF_POINT)),
               lambda pk: ed25519._point_table(neg_a(pk)),
               (ed25519, "_negated_point")),
         _Site("ed25519.batch_point", ed25519._VERIFY_MEMO,
-              fresh_ed_public, ed25519._batch_verify_point, neg_a,
+              fresh_ed_public, key_part(lambda key: key.neg_a), neg_a,
               (ed25519, "_negated_point")),
         _Site("ed25519.batch_table", ed25519._VERIFY_MEMO,
-              fresh_ed_public, ed25519._batch_verify_table,
+              fresh_ed_public,
+              key_part(lambda key: key.table(ed25519._WNAF_BATCH)),
               lambda pk: ed25519._point_table(neg_a(pk),
                                               ed25519._WNAF_BATCH),
               (ed25519, "_negated_point")),
